@@ -4,31 +4,22 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/framework"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 )
 
 // inferCmdConfig parameterizes one `dlbench -mode infer` invocation.
 type inferCmdConfig struct {
-	scale        string
-	seed         uint64
-	dataset      string
-	network      string
-	batches      string
-	requests     int
-	warmup       int
-	outPath      string
-	baselinePath string
-	thresholdPct float64
+	dataset  string
+	network  string
+	batches  string
+	requests int
+	warmup   int
 }
 
 // parseBatchSizes parses the -infer-batches CSV ("1,8,32").
@@ -53,12 +44,8 @@ func parseBatchSizes(s string) ([]int, error) {
 
 // runInferMode executes the inference sweep — every serving column (the
 // three framework styles plus the int8 quantized column) across the
-// requested batch sizes — prints the latency table, and writes the
-// schema-v3 benchmark report (training cells absent, infer section
-// populated) to cfg.outPath. With a baseline the report is compared the
-// same way `dlbench bench` compares training reports, so inference
-// latency regressions gate exactly like throughput regressions.
-func runInferMode(ctx context.Context, w io.Writer, suite *core.Suite, sink *progressSink, cfg inferCmdConfig) error {
+// requested batch sizes — and prints the latency table.
+func runInferMode(ctx context.Context, w io.Writer, suite *core.Suite, cfg inferCmdConfig) error {
 	batches, err := parseBatchSizes(cfg.batches)
 	if err != nil {
 		return err
@@ -87,48 +74,5 @@ func runInferMode(ctx context.Context, w io.Writer, suite *core.Suite, sink *pro
 			fmt.Sprintf("%.1f", c.AccuracyPct))
 	}
 	fmt.Fprintf(w, "Inference latency on %s (%s network)\n\n%s\n", rep.Dataset, rep.Network, tbl.String())
-
-	report := &profile.BenchReport{
-		SchemaVersion: profile.BenchSchemaVersion,
-		CreatedUnix:   time.Now().Unix(),
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		Scale:         cfg.scale,
-		Seed:          cfg.seed,
-	}
-	for _, c := range rep.Cells {
-		report.Infer = append(report.Infer, profile.BenchInferCell{
-			Framework:     c.Framework,
-			Network:       c.Network,
-			Dataset:       c.Dataset,
-			Batch:         c.Batch,
-			Requests:      c.Requests,
-			LatencyP50MS:  c.LatencyP50MS,
-			LatencyP95MS:  c.LatencyP95MS,
-			LatencyP99MS:  c.LatencyP99MS,
-			ThroughputSPS: c.ThroughputSPS,
-			AccuracyPct:   c.AccuracyPct,
-		})
-	}
-	f, err := os.Create(cfg.outPath)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", cfg.outPath, err)
-	}
-	if err := profile.WriteBenchReport(f, report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	sink.printf("wrote inference report (%d cells) to %s", len(report.Infer), cfg.outPath)
-	if cfg.baselinePath == "" {
-		return nil
-	}
-	baseline, err := profile.LoadBenchReport(cfg.baselinePath)
-	if err != nil {
-		return err
-	}
-	return compareReports(w, baseline, report, cfg.thresholdPct)
+	return nil
 }

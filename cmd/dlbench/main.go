@@ -12,15 +12,10 @@
 //	        [-monitor] [-monitor-interval D]
 //	        [-timeout D] [-checkpoint-dir DIR] [-resume]
 //	        [-max-retries N] [-faults PLAN] <experiment>...
-//	dlbench bench [-bench-out FILE] [-baseline FILE] [-bench-threshold PCT]
-//	dlbench bench log [DIR]
-//	dlbench bench diff BASELINE CURRENT [-bench-threshold PCT]
-//	dlbench compare -baseline OLD -bench-out NEW
 //	dlbench serve [-addr A] [-workers N] [-queue-cap N] ...
 //	dlbench top [-addr A] [-interval D] [-n FRAMES]
 //	dlbench -mode infer [-infer-dataset DS] [-infer-network default|resnet]
 //	        [-infer-batches 1,8,32] [-infer-requests N] [-infer-warmup N]
-//	        [-bench-out FILE] [-baseline FILE] [-bench-threshold PCT]
 //
 // Experiments: table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4
 // fig5 fig6 fig7 fig8 fig9 table6 table7 table8 table9, or "all".
@@ -44,28 +39,18 @@
 // log. All are off by default, and the instrumented hot paths are
 // no-ops when off.
 //
-// Continuous benchmarking: `dlbench bench` runs the canonical baseline
-// matrix in profiling mode with the monitor on and writes a
-// schema-versioned BENCH_*.json report (-bench-out) whose cells carry
-// resource-utilization summaries (schema v2); with -baseline it also
-// compares against a previous report and exits non-zero when any metric
-// regresses past -bench-threshold percent. `dlbench compare` diffs two
-// existing reports without running anything. `dlbench bench log`
-// renders the whole BENCH_*.json trajectory as a table with per-cell
-// iters/sec, peak-heap and CPU% sparklines; `dlbench bench diff A B`
-// diffs two reports and attributes timing regressions to specific ops
-// via the recorded top-of-profile tables.
+// The repository's own speed is measured by the separate perfbench
+// module (perfbench/README.md).
 //
 // Inference: `dlbench -mode infer` measures serving latency instead of
 // training throughput. Every serving column — the three framework
 // executor styles plus the int8 quantized column — answers timed
-// Predict requests at each -infer-batches size; the report carries
-// per-request latency p50/p95/p99 and samples/sec per (column, batch)
-// cell, printed as a table and written as the schema-v3 "infer" section
-// of the -bench-out report (so `bench log`, `bench diff` and -baseline
-// comparisons cover inference cells too). -infer-network resnet serves
-// one shared trained residual network from all columns, isolating
-// executor scheduling overhead.
+// Predict requests at each -infer-batches size; the printed table
+// carries per-request latency p50/p95/p99 and samples/sec per (column,
+// batch) cell. The sweep runs untraced unless -profile, -monitor or
+// another observability flag asks otherwise. -infer-network resnet
+// serves one shared trained residual network from all columns,
+// isolating executor scheduling overhead.
 //
 // Robustness: -timeout bounds the whole invocation and SIGINT cancels
 // it; both produce a well-formed partial report (completed rows, JSON/CSV
@@ -137,11 +122,8 @@ func run(args []string) error {
 	profilePath := fs.String("profile", "", "enable per-op profiling and write the attribution profile to this file (a .csv extension selects CSV)")
 	profileFoldPath := fs.String("profile-fold", "", "enable per-op profiling and write folded stacks (flamegraph.pl format) to this file")
 	eventsPath := fs.String("events", "", "write the structured JSONL event log (run/epoch boundaries, resilience events) to this file")
-	monitorFlag := fs.Bool("monitor", false, "sample resource utilization (heap, goroutines, CPU%, GC pauses) while running; implied by bench mode")
+	monitorFlag := fs.Bool("monitor", false, "sample resource utilization (heap, goroutines, CPU%, GC pauses) while running")
 	monitorInterval := fs.Duration("monitor-interval", monitor.DefaultInterval, "resource-monitor sampling interval")
-	benchOut := fs.String("bench-out", "BENCH.json", "bench/compare: write (bench) or read (compare) the current benchmark report at this path")
-	baselinePath := fs.String("baseline", "", "bench/compare: compare against this previous benchmark report, exiting non-zero on regression")
-	benchThreshold := fs.Float64("bench-threshold", 0, "bench/compare: regression threshold in percent (0 selects the default 15)")
 	timeout := fs.Duration("timeout", 0, "cancel the whole invocation after this duration, emitting a partial report (0 disables)")
 	checkpointDir := fs.String("checkpoint-dir", "", "persist periodic training checkpoints to this directory")
 	resume := fs.Bool("resume", false, "resume training runs from checkpoints in -checkpoint-dir")
@@ -186,27 +168,6 @@ func run(args []string) error {
 		defer stop()
 		return runTop(ctx, targets[1:], os.Stdout)
 	}
-	// Query subcommands over existing reports: neither runs anything, so
-	// they dispatch before any suite construction.
-	if len(targets) > 1 && targets[0] == "bench" {
-		switch targets[1] {
-		case "log":
-			dir := "."
-			if len(targets) == 3 {
-				dir = targets[2]
-			} else if len(targets) > 3 {
-				return fmt.Errorf("usage: dlbench bench log [DIR]")
-			}
-			return runBenchLog(os.Stdout, dir)
-		case "diff":
-			if len(targets) != 4 {
-				return fmt.Errorf("usage: dlbench bench diff BASELINE CURRENT")
-			}
-			return runBenchDiff(os.Stdout, targets[2], targets[3], *benchThreshold)
-		default:
-			return fmt.Errorf("unknown bench subcommand %q (known: log, diff)", targets[1])
-		}
-	}
 	scale, err := core.ScaleByName(*scaleName)
 	if err != nil {
 		return err
@@ -249,36 +210,24 @@ func run(args []string) error {
 	}
 	suite.Faults = plan
 
-	// Command modes: "bench" runs the canonical matrix into a BENCH_*.json
-	// report, "compare" diffs two existing reports. Both are standalone.
-	benchMode := len(targets) == 1 && targets[0] == "bench"
-	if len(targets) == 1 && targets[0] == "compare" {
-		return runCompare(os.Stdout, *baselinePath, *benchOut, *benchThreshold)
-	}
-
-	profiling := *profilePath != "" || *profileFoldPath != "" || benchMode || inferMode
-	// Bench and infer modes always monitor: the schema-v2 report carries
-	// per-cell utilization summaries and a serving measurement should see
-	// its own resource profile, so neither needs extra flags.
-	monitoring := *monitorFlag || benchMode || inferMode
+	profiling := *profilePath != "" || *profileFoldPath != ""
 
 	// The tracer exists only when some consumer asked for it; otherwise
 	// every instrumented path stays on the documented no-op branch. The
 	// live endpoints (-pprof serves /metrics and /status), the event
 	// log and the resource monitor are consumers too.
 	var tracer *obs.Tracer
-	if *tracePath != "" || *telemetry || *pprofAddr != "" || *eventsPath != "" || profiling || monitoring {
+	if *tracePath != "" || *telemetry || *pprofAddr != "" || *eventsPath != "" || profiling || *monitorFlag {
 		tracer = obs.New()
 		suite.Obs = tracer
 	}
 	if profiling {
 		tracer.EnableProfiling()
 	}
-	// The sampler runs for the whole invocation; per-cell windows are cut
-	// out of its series by the bench harness. A nil sampler keeps every
-	// monitor-aware path on its no-op branch.
+	// The sampler runs for the whole invocation. A nil sampler keeps
+	// every monitor-aware path on its no-op branch.
 	var sampler *monitor.Sampler
-	if monitoring {
+	if *monitorFlag {
 		sampler = monitor.New(monitor.Config{Interval: *monitorInterval, Tracer: tracer})
 		sampler.Start()
 		defer sampler.Stop()
@@ -319,33 +268,17 @@ func run(args []string) error {
 	}
 	var collected []metrics.RunResult
 	interrupted := false
-	// benchErr carries a benchmark regression verdict past the export
-	// section below, so a failing comparison still writes every requested
-	// artifact before the process exits non-zero.
-	var benchErr error
-	if benchMode {
-		benchErr = runBench(ctx, os.Stdout, suite, tracer, sampler, sink, benchConfig{
-			scale:        *scaleName,
-			seed:         *seed,
-			outPath:      *benchOut,
-			baselinePath: *baselinePath,
-			thresholdPct: *benchThreshold,
-		})
-		if ctx.Err() != nil {
-			interrupted = true
-		}
-	} else if inferMode {
-		benchErr = runInferMode(ctx, os.Stdout, suite, sink, inferCmdConfig{
-			scale:        *scaleName,
-			seed:         *seed,
-			dataset:      *inferDataset,
-			network:      *inferNetwork,
-			batches:      *inferBatches,
-			requests:     *inferRequests,
-			warmup:       *inferWarmup,
-			outPath:      *benchOut,
-			baselinePath: *baselinePath,
-			thresholdPct: *benchThreshold,
+	// inferErr carries a failed or cancelled sweep past the export
+	// section below, so every requested artifact is still written before
+	// the process exits non-zero.
+	var inferErr error
+	if inferMode {
+		inferErr = runInferMode(ctx, os.Stdout, suite, inferCmdConfig{
+			dataset:  *inferDataset,
+			network:  *inferNetwork,
+			batches:  *inferBatches,
+			requests: *inferRequests,
+			warmup:   *inferWarmup,
 		})
 		if ctx.Err() != nil {
 			interrupted = true
@@ -435,7 +368,7 @@ func run(args []string) error {
 	if interrupted {
 		sink.printf("partial report: %d run results completed before cancellation", len(collected))
 	}
-	return benchErr
+	return inferErr
 }
 
 // startPprof serves the live exposition endpoints on addr in the

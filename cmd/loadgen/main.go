@@ -29,11 +29,13 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // submitReply mirrors the daemon's POST /jobs response body.
@@ -110,23 +112,12 @@ func (t *tally) streamFail(format string, args ...any) {
 	t.mu.Unlock()
 }
 
-// percentile returns the p-th percentile (0..100) of sorted durations.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p / 100 * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 func latencyLine(name string, lats []time.Duration) string {
 	if len(lats) == 0 {
 		return fmt.Sprintf("%-12s n=0", name)
 	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return fmt.Sprintf("%-12s n=%-5d p50=%-10v p95=%-10v p99=%-10v max=%v",
-		name, len(sorted), percentile(sorted, 50), percentile(sorted, 95), percentile(sorted, 99), sorted[len(sorted)-1])
+		name, len(lats), metrics.Percentile(lats, 50), metrics.Percentile(lats, 95), metrics.Percentile(lats, 99), slices.Max(lats))
 }
 
 // client runs one synthetic client: submit jobs jobs, poll each accepted

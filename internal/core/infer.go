@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/data"
@@ -63,7 +62,8 @@ type InferCell struct {
 	Dataset   string
 	Batch     int
 	Requests  int
-	// Latency percentiles over the timed requests, in milliseconds.
+	// Nearest-rank latency percentiles (metrics.Percentile) over the
+	// timed requests, in milliseconds.
 	LatencyP50MS float64
 	LatencyP95MS float64
 	LatencyP99MS float64
@@ -400,9 +400,9 @@ func (s *Suite) measureInferPoint(ctx context.Context, exec engine.Executor, tes
 	cell := InferCell{
 		Batch:        b,
 		Requests:     cfg.Requests,
-		LatencyP50MS: percentileMS(lat, 50),
-		LatencyP95MS: percentileMS(lat, 95),
-		LatencyP99MS: percentileMS(lat, 99),
+		LatencyP50MS: metrics.Percentile(lat, 50),
+		LatencyP95MS: metrics.Percentile(lat, 95),
+		LatencyP99MS: metrics.Percentile(lat, 99),
 		WallSeconds:  total.Seconds(),
 	}
 	if total > 0 {
@@ -440,22 +440,4 @@ func (s *Suite) requestBatches(testSet *data.Dataset, prep framework.Preprocessi
 		out = append(out, x)
 	}
 	return out, nil
-}
-
-// percentileMS returns the nearest-rank percentile of vals (copied, so
-// the caller's order is preserved).
-func percentileMS(vals []float64, pct float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	rank := int(pct/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

@@ -155,10 +155,8 @@ func (s *Suite) Scale() Scale { return s.scale }
 
 // ReleaseModels drops every cached trained model — parameters, gradients
 // and any layer buffers they still reference. Experiments that revisit a
-// cell retrain it transparently on next use. The benchmark matrix calls
-// this between cells: it harvests each cell's metrics exactly once, and
-// dormant models from finished cells would otherwise sit in the live heap
-// and count against every later cell's sampled memory footprint.
+// cell retrain it transparently on next use. The serve daemon calls this
+// under memory pressure, trading warm-cache latency for heap headroom.
 func (s *Suite) ReleaseModels() {
 	s.mu.Lock()
 	s.models = make(map[modelKey]*trainedModel)

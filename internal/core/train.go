@@ -235,8 +235,8 @@ func (s *Suite) train(ctx context.Context, spec RunSpec, key modelKey) (*trained
 	// The GC here both reclaims the cell's garbage and resets the pacer's
 	// heap goal, which one cell's transient working set would otherwise
 	// inflate for the whole next cell — the next cell then runs hundreds
-	// of MB of allocation before its first collection and its sampled
-	// peak_alloc_bytes measures our pacer slack, not its working set.
+	// of MB of allocation before its first collection and its peak heap
+	// measures our pacer slack, not its working set.
 	runtime.GC()
 
 	// Convergence: a run "converged" when it trained into a model that is

@@ -5,8 +5,10 @@
 package metrics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/obs"
@@ -30,6 +32,23 @@ func Accuracy(preds, labels []int) (float64, error) {
 		}
 	}
 	return 100 * float64(correct) / float64(len(preds)), nil
+}
+
+// Percentile returns the exact nearest-rank p-th percentile (0..100) of
+// vals: the value at 1-based rank round(p/100·n), clamped to [1, n], so
+// p99 of 40 samples is the largest. core.InferSweep and cmd/loadgen
+// report their tails with it; obs.Histogram, behind the /metrics
+// summaries, is a bucketed streaming estimate instead. vals is not
+// modified, and no samples yield the zero value.
+func Percentile[T cmp.Ordered](vals []T, p float64) T {
+	if len(vals) == 0 {
+		var zero T
+		return zero
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	rank := int(p/100*float64(len(sorted)) + 0.5)
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // Confusion is a square confusion matrix: Counts[true][predicted].

@@ -3,8 +3,10 @@ package metrics
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestAccuracy(t *testing.T) {
@@ -34,6 +36,47 @@ func TestAccuracy(t *testing.T) {
 	}
 	if _, err := Accuracy([]int{1}, []int{1, 2}); !errors.Is(err, ErrInput) {
 		t.Fatal("mismatch must wrap ErrInput")
+	}
+}
+
+func TestPercentileNearestRank(t *testing.T) {
+	// 1..40 in reverse order: the input must not need sorting by the caller.
+	forty := make([]float64, 40)
+	for i := range forty {
+		forty[i] = float64(40 - i)
+	}
+	ten := []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
+	tests := []struct {
+		name string
+		vals []float64
+		p    float64
+		want float64
+	}{
+		{"empty", nil, 50, 0},
+		{"single", []float64{7}, 99, 7},
+		{"n40 p50 is rank 20", forty, 50, 20},
+		{"n40 p95 is rank 38", forty, 95, 38},
+		{"n40 p99 is rank 40", forty, 99, 40},
+		{"n10 p25 rounds 2.5 up to rank 3", ten, 25, 3},
+		{"n10 p90 is rank 9", ten, 90, 9},
+		{"p0 clamps to the minimum", ten, 0, 1},
+		{"p100 is the maximum", ten, 100, 10},
+		{"ties", []float64{2, 2, 1, 2}, 50, 2},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			before := slices.Clone(tt.vals)
+			if got := Percentile(tt.vals, tt.p); got != tt.want {
+				t.Errorf("Percentile(p=%v) = %v, want %v", tt.p, got, tt.want)
+			}
+			if !slices.Equal(tt.vals, before) {
+				t.Errorf("Percentile reordered its input: %v -> %v", before, tt.vals)
+			}
+		})
+	}
+	durs := []time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Millisecond}
+	if got := Percentile(durs, 50); got != 2*time.Millisecond {
+		t.Errorf("duration p50 = %v, want 2ms", got)
 	}
 }
 

@@ -24,12 +24,12 @@ func TelemetryReport(s *obs.Snapshot) string {
 			d := s.Durations[name]
 			tbl.AddRow(name,
 				strconv.FormatInt(d.Count, 10),
-				formatDur(d.SumNS),
-				formatDur(d.MeanNS()),
-				formatDur(d.P50NS),
-				formatDur(d.P95NS),
-				formatDur(d.P99NS),
-				formatDur(d.MaxNS),
+				FormatDur(d.SumNS),
+				FormatDur(d.MeanNS()),
+				FormatDur(d.P50NS),
+				FormatDur(d.P95NS),
+				FormatDur(d.P99NS),
+				FormatDur(d.MaxNS),
 			)
 		}
 		b.WriteString("Durations (per span name / histogram)\n\n")
@@ -77,9 +77,9 @@ func TelemetryReport(s *obs.Snapshot) string {
 	return b.String()
 }
 
-// formatDur renders nanoseconds with a duration-appropriate unit, the way
+// FormatDur renders nanoseconds with a duration-appropriate unit, the way
 // time.Duration prints but capped at µs precision for readability.
-func formatDur(ns int64) string {
+func FormatDur(ns int64) string {
 	d := time.Duration(ns)
 	switch {
 	case d >= time.Second:

@@ -43,8 +43,8 @@ func TestFormatDurUnits(t *testing.T) {
 		2_000000000: "2.00s",
 	}
 	for ns, want := range cases {
-		if got := formatDur(ns); got != want {
-			t.Errorf("formatDur(%d) = %q, want %q", ns, got, want)
+		if got := FormatDur(ns); got != want {
+			t.Errorf("FormatDur(%d) = %q, want %q", ns, got, want)
 		}
 	}
 }

@@ -3,19 +3,18 @@
 // footprint alongside training time and accuracy; monitor supplies that
 // metric family for this reproduction: a low-overhead, fixed-interval
 // sampler of process resource usage that runs for the life of a sweep
-// (or one benchmark cell) and reduces its time series to avg/peak
-// summaries.
+// or a serve daemon.
 //
 // Each sample records heap in-use and heap live bytes (runtime/metrics),
 // the goroutine count, and process CPU utilization in percent — read
 // from /proc/self/stat on Linux, with a portable runtime/metrics
 // fallback elsewhere (see cpu.go). GC pause p50/p99 are computed per
-// summary window by differencing the cumulative runtime pause histogram.
+// interval by differencing the cumulative runtime pause histogram.
 //
-// Samples land in a fixed-size ring buffer, so monitoring an unbounded
-// sweep cannot exhaust memory, and — when a Tracer is wired in — flow
-// into the observability surface: live monitor.* gauges (exported on
-// /metrics and /status), and monitor.sample events in the typed event
+// The sampler keeps only the latest sample (read by /status and the
+// serve daemon's load shedding). When a Tracer is wired in, every sample
+// also flows into the observability surface: live monitor.* gauges
+// (exported on /metrics), and monitor.sample events in the typed event
 // log, timestamped on the tracer's span clock so utilization correlates
 // with execution phases in the JSONL log and the Chrome trace export.
 //
@@ -38,12 +37,6 @@ import (
 // fine enough to catch per-cell utilization at test scale (cells run
 // seconds), coarse enough that sampling cost is noise.
 const DefaultInterval = 50 * time.Millisecond
-
-// DefaultRingSize bounds the retained time series when Config leaves it
-// zero: 4096 samples ≈ 3.4 minutes at the default interval, and
-// summaries stay exact beyond eviction because CPU time and GC pauses
-// are differenced from absolute bases, not from retained samples.
-const DefaultRingSize = 4096
 
 // runtime/metrics names the sampler reads. All exist since Go 1.22 and
 // are listed in internal/monitor's build-time probe of metrics.All.
@@ -77,49 +70,10 @@ type Sample struct {
 	GCPauseP99NS int64 `json:"gc_pause_p99_ns"`
 }
 
-// Summary reduces one observation window to the utilization columns the
-// benchmark report carries: averages, peaks and GC pause quantiles.
-type Summary struct {
-	Samples       int     `json:"samples"`
-	WindowSeconds float64 `json:"window_s"`
-	// Heap and goroutine statistics aggregate the window's samples.
-	AvgHeapInuseBytes  uint64  `json:"avg_heap_inuse_bytes"`
-	PeakHeapInuseBytes uint64  `json:"peak_heap_inuse_bytes"`
-	AvgGoroutines      float64 `json:"avg_goroutines"`
-	PeakGoroutines     int64   `json:"peak_goroutines"`
-	// AvgCPUPct is exact over the window (CPU-time delta over wall
-	// delta, independent of sampling); PeakCPUPct is the largest
-	// per-interval rate observed.
-	AvgCPUPct  float64 `json:"avg_cpu_pct"`
-	PeakCPUPct float64 `json:"peak_cpu_pct"`
-	// GC pause quantiles and cycle count are differenced from the
-	// runtime's cumulative pause histogram across the window.
-	GCPauseP50NS int64 `json:"gc_pause_p50_ns"`
-	GCPauseP99NS int64 `json:"gc_pause_p99_ns"`
-	GCCount      int64 `json:"gc_count"`
-}
-
-// Window is an opaque observation mark returned by Mark and consumed by
-// Since: the absolute bases (wall clock, CPU time, GC histogram) a
-// summary differences against. The zero Window means "since sampler
-// start".
-type Window struct {
-	startNS  int64
-	wall     time.Time
-	cpuSecs  float64
-	cpuOK    bool
-	gcCounts []uint64
-	gcCycles uint64
-	valid    bool
-}
-
 // Config parameterizes New.
 type Config struct {
 	// Interval is the sampling period (DefaultInterval when zero).
 	Interval time.Duration
-	// RingSize bounds the retained time series (DefaultRingSize when
-	// zero).
-	RingSize int
 	// Tracer, when non-nil, receives live monitor.* gauges and
 	// monitor.sample events. Events are timestamped by the tracer on its
 	// own span clock, which is what correlates utilization with
@@ -127,22 +81,21 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// Sampler collects the resource time series. The zero value is not
-// usable; construct with New. All methods are safe on a nil receiver,
-// which is the disabled state.
+// Sampler samples process resource usage at a fixed interval. The zero
+// value is not usable; construct with New. All methods are safe on a nil
+// receiver, which is the disabled state.
 type Sampler struct {
 	interval time.Duration
 	tracer   *obs.Tracer
 	epoch    time.Time
 	cpu      cpuReader
 
-	mu       sync.Mutex
-	ring     []Sample
-	head     int // next write position
-	n        int // retained count (≤ len(ring))
-	prevWall time.Time
-	prevCPU  float64
-	prevOK   bool
+	mu        sync.Mutex
+	latest    Sample
+	hasLatest bool
+	prevWall  time.Time
+	prevCPU   float64
+	prevOK    bool
 	// prevGCCounts/prevGCCycles are the per-tick GC differencing bases.
 	prevGCCounts []uint64
 	prevGCCycles uint64
@@ -166,15 +119,11 @@ func New(cfg Config) *Sampler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
 	s := &Sampler{
 		interval: cfg.Interval,
 		tracer:   cfg.Tracer,
 		epoch:    time.Now(),
 		cpu:      newCPUReader(),
-		ring:     make([]Sample, cfg.RingSize),
 		reads: []metrics.Sample{
 			{Name: mHeapObjects},
 			{Name: mHeapUnused},
@@ -253,7 +202,7 @@ func (s *Sampler) loop(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// SampleOnce takes one synchronous sample, appends it to the ring, and
+// SampleOnce takes one synchronous sample, keeps it as the latest, and
 // feeds the tracer's gauges and event log. Returns the sample. Safe on
 // nil (zero Sample). Concurrent calls serialize on the sampler's lock.
 func (s *Sampler) SampleOnce() Sample {
@@ -295,11 +244,7 @@ func (s *Sampler) SampleOnce() Sample {
 		}
 	}
 	s.prevGCCounts, s.prevGCCycles, s.prevGCOK = gcCounts, gcCycles, true
-	s.ring[s.head] = smp
-	s.head = (s.head + 1) % len(s.ring)
-	if s.n < len(s.ring) {
-		s.n++
-	}
+	s.latest, s.hasLatest = smp, true
 	s.mu.Unlock()
 
 	s.gHeapInuse.Set(float64(smp.HeapInuseBytes))
@@ -333,129 +278,7 @@ func (s *Sampler) Latest() (smp Sample, ok bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Sample{}, false
-	}
-	i := s.head - 1
-	if i < 0 {
-		i = len(s.ring) - 1
-	}
-	return s.ring[i], true
-}
-
-// Samples returns a chronological copy of the retained time series
-// (nil on a nil sampler).
-func (s *Sampler) Samples() []Sample {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Sample, 0, s.n)
-	start := s.head - s.n
-	if start < 0 {
-		start += len(s.ring)
-	}
-	for i := 0; i < s.n; i++ {
-		out = append(out, s.ring[(start+i)%len(s.ring)])
-	}
-	return out
-}
-
-// Mark opens an observation window: it records the absolute bases
-// (wall clock, process CPU time, cumulative GC pause histogram) the
-// matching Since call will difference against. Zero Window on nil.
-func (s *Sampler) Mark() Window {
-	if s == nil {
-		return Window{}
-	}
-	w := Window{
-		startNS: time.Since(s.epoch).Nanoseconds(),
-		wall:    time.Now(),
-		valid:   true,
-	}
-	w.cpuSecs, w.cpuOK = s.cpu.processCPUSeconds()
-	w.gcCounts, w.gcCycles = readGCPauseHistogram()
-	return w
-}
-
-// Since takes one final synchronous sample (so even a window shorter
-// than the sampling interval is represented) and reduces everything
-// observed inside the window to a Summary. A zero Window summarizes the
-// whole retained series. Returns nil on a nil sampler.
-func (s *Sampler) Since(w Window) *Summary {
-	if s == nil {
-		return nil
-	}
-	s.SampleOnce()
-	now := time.Now()
-	cpuSecs, cpuOK := s.cpu.processCPUSeconds()
-	counts, cycles := readGCPauseHistogram()
-
-	out := &Summary{}
-	var heapSum, gorSum float64
-	for _, smp := range s.Samples() {
-		if w.valid && smp.NS < w.startNS {
-			continue
-		}
-		out.Samples++
-		heapSum += float64(smp.HeapInuseBytes)
-		gorSum += float64(smp.Goroutines)
-		if smp.HeapInuseBytes > out.PeakHeapInuseBytes {
-			out.PeakHeapInuseBytes = smp.HeapInuseBytes
-		}
-		if smp.Goroutines > out.PeakGoroutines {
-			out.PeakGoroutines = smp.Goroutines
-		}
-		if smp.CPUPct > out.PeakCPUPct {
-			out.PeakCPUPct = smp.CPUPct
-		}
-	}
-	if out.Samples > 0 {
-		out.AvgHeapInuseBytes = uint64(heapSum / float64(out.Samples))
-		out.AvgGoroutines = gorSum / float64(out.Samples)
-	}
-	if w.valid {
-		out.WindowSeconds = now.Sub(w.wall).Seconds()
-		if cpuOK && w.cpuOK && out.WindowSeconds > 0 {
-			out.AvgCPUPct = 100 * (cpuSecs - w.cpuSecs) / out.WindowSeconds
-			if out.AvgCPUPct < 0 {
-				out.AvgCPUPct = 0
-			}
-		}
-		out.GCCount = int64(cycles - w.gcCycles)
-		diff := diffCounts(counts, w.gcCounts)
-		out.GCPauseP50NS = pauseQuantileNS(diff, 0.50)
-		out.GCPauseP99NS = pauseQuantileNS(diff, 0.99)
-	} else {
-		// Whole-run summary: no absolute bases, so the CPU average falls
-		// back to the mean of the per-interval rates and GC pauses cover
-		// the whole process history.
-		samples := s.Samples()
-		if len(samples) > 1 {
-			out.WindowSeconds = float64(samples[len(samples)-1].NS-samples[0].NS) / 1e9
-		}
-		var cpuSum float64
-		rated := 0
-		for _, smp := range samples {
-			if smp.CPUPct > 0 {
-				cpuSum += smp.CPUPct
-				rated++
-			}
-		}
-		if rated > 0 {
-			out.AvgCPUPct = cpuSum / float64(rated)
-		}
-		out.GCCount = int64(cycles)
-		out.GCPauseP50NS = pauseQuantileNS(counts, 0.50)
-		out.GCPauseP99NS = pauseQuantileNS(counts, 0.99)
-	}
-	return out
-}
-
-// Summary reduces the whole retained series (since sampler start).
-func (s *Sampler) Summary() *Summary {
-	return s.Since(Window{})
+	return s.latest, s.hasLatest
 }
 
 // gcPauseBuckets holds the runtime's fixed pause-histogram bucket

@@ -34,15 +34,6 @@ func TestNilSamplerIsSafe(t *testing.T) {
 	if _, ok := s.Latest(); ok {
 		t.Fatal("nil Latest reported ok")
 	}
-	if got := s.Samples(); got != nil {
-		t.Fatalf("nil Samples = %v", got)
-	}
-	if sum := s.Since(s.Mark()); sum != nil {
-		t.Fatalf("nil Since = %+v", sum)
-	}
-	if s.Summary() != nil {
-		t.Fatal("nil Summary non-nil")
-	}
 	if s.Interval() != 0 {
 		t.Fatal("nil Interval non-zero")
 	}
@@ -67,7 +58,8 @@ func TestSampleOnceReadsResources(t *testing.T) {
 }
 
 func TestStartStopCollectsSeries(t *testing.T) {
-	s := New(Config{Interval: 2 * time.Millisecond})
+	tr := obs.New()
+	s := New(Config{Interval: 2 * time.Millisecond, Tracer: tr})
 	s.Start()
 	s.Start() // idempotent
 	// Sleep rather than spin: on a single-core host a busy loop starves
@@ -75,109 +67,26 @@ func TestStartStopCollectsSeries(t *testing.T) {
 	time.Sleep(40 * time.Millisecond)
 	s.Stop()
 	s.Stop() // idempotent
-	samples := s.Samples()
-	if len(samples) < 3 {
-		t.Fatalf("collected %d samples in 40ms at 2ms interval", len(samples))
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].NS < samples[i-1].NS {
-			t.Fatalf("samples out of order: %d before %d", samples[i].NS, samples[i-1].NS)
+	var series []obs.Event
+	for _, ev := range tr.Events() {
+		if ev.Type == "monitor.sample" {
+			series = append(series, ev)
 		}
 	}
-}
-
-func TestRingEviction(t *testing.T) {
-	s := New(Config{RingSize: 4})
-	var last Sample
-	for i := 0; i < 10; i++ {
-		last = s.SampleOnce()
+	if len(series) < 3 {
+		t.Fatalf("collected %d samples in 40ms at 2ms interval", len(series))
 	}
-	samples := s.Samples()
-	if len(samples) != 4 {
-		t.Fatalf("ring retained %d samples, want 4", len(samples))
+	for i := 1; i < len(series); i++ {
+		if series[i].NS < series[i-1].NS {
+			t.Fatalf("samples out of order: %d before %d", series[i].NS, series[i-1].NS)
+		}
 	}
-	if samples[len(samples)-1] != last {
-		t.Fatalf("latest retained sample %+v != last taken %+v", samples[len(samples)-1], last)
+	latest, ok := s.Latest()
+	if !ok {
+		t.Fatal("Latest reported no sample after the sampler ran")
 	}
-}
-
-func TestWindowSummary(t *testing.T) {
-	s := New(Config{Interval: 2 * time.Millisecond})
-	s.Start()
-	defer s.Stop()
-	win := s.Mark()
-	// Allocate visibly and burn CPU inside the window.
-	buf := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		buf = append(buf, make([]byte, 1<<20))
-	}
-	spin(30 * time.Millisecond)
-	runtime.KeepAlive(buf)
-	sum := s.Since(win)
-	if sum == nil {
-		t.Fatal("Since returned nil on a live sampler")
-	}
-	if sum.Samples == 0 {
-		t.Fatal("window summary has no samples")
-	}
-	if sum.WindowSeconds <= 0 {
-		t.Errorf("window seconds = %v", sum.WindowSeconds)
-	}
-	if sum.PeakHeapInuseBytes < sum.AvgHeapInuseBytes || sum.AvgHeapInuseBytes == 0 {
-		t.Errorf("heap summary inconsistent: avg %d peak %d", sum.AvgHeapInuseBytes, sum.PeakHeapInuseBytes)
-	}
-	if sum.PeakGoroutines < 1 || sum.AvgGoroutines <= 0 {
-		t.Errorf("goroutine summary: avg %v peak %d", sum.AvgGoroutines, sum.PeakGoroutines)
-	}
-	if sum.AvgCPUPct <= 0 {
-		t.Errorf("avg cpu%% = %v after 30ms spin", sum.AvgCPUPct)
-	}
-	if sum.PeakCPUPct < 0 {
-		t.Errorf("peak cpu%% = %v", sum.PeakCPUPct)
-	}
-}
-
-// TestWindowShorterThanInterval: Since must still represent a window
-// that closed before the first ticker fire, via its synchronous closing
-// sample.
-func TestWindowShorterThanInterval(t *testing.T) {
-	s := New(Config{Interval: time.Hour})
-	win := s.Mark()
-	sum := s.Since(win)
-	if sum.Samples == 0 {
-		t.Fatal("sub-interval window has no samples")
-	}
-}
-
-func TestWholeRunSummary(t *testing.T) {
-	s := New(Config{})
-	s.SampleOnce()
-	spin(10 * time.Millisecond)
-	s.SampleOnce()
-	sum := s.Summary()
-	if sum.Samples < 2 {
-		t.Fatalf("summary over %d samples", sum.Samples)
-	}
-	if sum.AvgHeapInuseBytes == 0 {
-		t.Error("whole-run summary lost heap average")
-	}
-}
-
-func TestGCPauseQuantilesAfterForcedGC(t *testing.T) {
-	s := New(Config{})
-	win := s.Mark()
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-	}
-	sum := s.Since(win)
-	if sum.GCCount < 3 {
-		t.Fatalf("window saw %d GC cycles, want >= 3 (forced)", sum.GCCount)
-	}
-	if sum.GCPauseP99NS <= 0 || sum.GCPauseP50NS <= 0 {
-		t.Errorf("GC pause quantiles empty after forced GC: p50=%d p99=%d", sum.GCPauseP50NS, sum.GCPauseP99NS)
-	}
-	if sum.GCPauseP99NS < sum.GCPauseP50NS {
-		t.Errorf("p99 %d < p50 %d", sum.GCPauseP99NS, sum.GCPauseP50NS)
+	if got := series[len(series)-1].Fields["heap_inuse_bytes"]; got != latest.HeapInuseBytes {
+		t.Errorf("Latest heap in-use %d, last monitor.sample event %v", latest.HeapInuseBytes, got)
 	}
 }
 

@@ -68,10 +68,8 @@ type Tracer struct {
 	hists  map[string]*Histogram
 	infos  map[string]*Info
 
-	// profiling gates per-op spans and memory sampling (see spans.go);
-	// peakHeap is the profiling-mode HeapAlloc watermark.
+	// profiling gates per-op spans and memory sampling (see spans.go).
 	profiling atomic.Bool
-	peakHeap  atomic.Uint64
 
 	// emu guards the typed event log (see events.go). eventSeq numbers
 	// every emitted event — including dropped ones — so consumers can

@@ -149,18 +149,6 @@ func BenchmarkDisabledMonitorLatest(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledMonitorWindow measures the no-op Mark/Since pair on
-// a nil sampler — the per-cell cost the bench harness pays when the
-// monitor is disabled.
-func BenchmarkDisabledMonitorWindow(b *testing.B) {
-	var sm *monitor.Sampler
-	for i := 0; i < b.N; i++ {
-		if sum := sm.Since(sm.Mark()); sum != nil {
-			b.Fatal("nil sampler produced a summary")
-		}
-	}
-}
-
 // TestDisabledTracerOverheadUnderTwoPercent is the acceptance guard: the
 // disabled-tracer instrumentation added to a training iteration must cost
 // under 2% of the iteration itself. A training iteration makes a handful

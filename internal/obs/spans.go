@@ -2,7 +2,6 @@ package obs
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 )
 
@@ -45,9 +44,9 @@ func (t *Tracer) Spans() []SpanInfo {
 
 // EnableProfiling switches the tracer into profiling mode: executors emit
 // per-op spans, and every span open/close samples runtime.MemStats so
-// span records carry allocation deltas and the tracer tracks the peak
-// heap. Profiling costs real time (ReadMemStats briefly stops the world),
-// so it is opt-in on top of tracing; a nil tracer ignores the call.
+// span records carry allocation deltas. Profiling costs real time
+// (ReadMemStats briefly stops the world), so it is opt-in on top of
+// tracing; a nil tracer ignores the call.
 func (t *Tracer) EnableProfiling() {
 	if t == nil {
 		return
@@ -62,41 +61,10 @@ func (t *Tracer) ProfilingEnabled() bool {
 	return t != nil && t.profiling.Load()
 }
 
-// memSample reads the allocator state, folds the current heap size into
-// the peak-heap watermark, and returns the monotonic total-allocated
-// counter for span deltas.
+// memSample returns the allocator's monotonic total-allocated counter
+// for span deltas.
 func (t *Tracer) memSample() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	peakMax(&t.peakHeap, ms.HeapAlloc)
 	return ms.TotalAlloc
-}
-
-// peakMax raises p to v if v is larger.
-func peakMax(p *atomic.Uint64, v uint64) {
-	for {
-		old := p.Load()
-		if v <= old || p.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
-
-// PeakHeapBytes returns the largest HeapAlloc observed by profiling-mode
-// memory samples since the last TakePeakHeap. Zero on a nil tracer or
-// when profiling never sampled.
-func (t *Tracer) PeakHeapBytes() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.peakHeap.Load()
-}
-
-// TakePeakHeap returns the current peak-heap watermark and resets it, so
-// the bench harness can attribute a peak to each cell of a sweep.
-func (t *Tracer) TakePeakHeap() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.peakHeap.Swap(0)
 }

@@ -50,9 +50,6 @@ func TestNilTracerSpanAndProfilingSafe(t *testing.T) {
 	if tr.ProfilingEnabled() {
 		t.Fatal("nil tracer reports profiling enabled")
 	}
-	if tr.PeakHeapBytes() != 0 || tr.TakePeakHeap() != 0 {
-		t.Fatal("nil tracer reports a heap peak")
-	}
 	tr.Emit("x", nil)
 	if tr.Events() != nil || tr.EventsDropped() != 0 {
 		t.Fatal("nil tracer recorded events")
@@ -63,10 +60,9 @@ func TestNilTracerSpanAndProfilingSafe(t *testing.T) {
 	}
 }
 
-// TestProfilingModeSamplesAllocAndPeak: with profiling on, a span that
-// allocates must record a positive allocation delta and raise the peak
-// watermark; TakePeakHeap must reset it.
-func TestProfilingModeSamplesAllocAndPeak(t *testing.T) {
+// TestProfilingModeSamplesAlloc: with profiling on, a span that
+// allocates must record a positive allocation delta.
+func TestProfilingModeSamplesAlloc(t *testing.T) {
 	tr := obs.New()
 	tr.EnableProfiling()
 	if !tr.ProfilingEnabled() {
@@ -81,15 +77,6 @@ func TestProfilingModeSamplesAllocAndPeak(t *testing.T) {
 	}
 	if spans[0].AllocBytes < 1<<20 {
 		t.Fatalf("span alloc delta = %d, want >= %d", spans[0].AllocBytes, 1<<20)
-	}
-	if tr.PeakHeapBytes() == 0 {
-		t.Fatal("no heap peak recorded")
-	}
-	if tr.TakePeakHeap() == 0 {
-		t.Fatal("TakePeakHeap returned 0")
-	}
-	if tr.PeakHeapBytes() != 0 {
-		t.Fatal("TakePeakHeap did not reset the watermark")
 	}
 }
 

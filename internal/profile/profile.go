@@ -5,10 +5,6 @@
 // allocation delta. This is the paper's "where did the time go" view —
 // the per-layer breakdown that Bahrampour et al. show decides framework
 // rankings — computed from the same spans the Chrome trace exports.
-//
-// The package also defines the benchmark-trajectory schema (BENCH_*.json)
-// and the baseline comparator used by the continuous-benchmark harness
-// (see bench.go).
 package profile
 
 import (
@@ -179,7 +175,7 @@ func (p *Profile) Top(n int) []Entry {
 // dlbench -profile: a coverage header plus one row per span name.
 func (p *Profile) WriteTable(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "Attribution profile: %s attributed of %s wall (%.1f%% coverage)\n\n",
-		formatNS(p.AttributedNS), formatNS(p.WallNS), p.CoveragePct()); err != nil {
+		metrics.FormatDur(p.AttributedNS), metrics.FormatDur(p.WallNS), p.CoveragePct()); err != nil {
 		return fmt.Errorf("profile: write header: %w", err)
 	}
 	tbl := metrics.NewTable("Span", "Cat", "Count", "Self", "Self%", "Cum", "Mean Self", "Alloc")
@@ -194,10 +190,10 @@ func (p *Profile) WriteTable(w io.Writer) error {
 		}
 		tbl.AddRow(e.Name, e.Cat,
 			strconv.FormatInt(e.Count, 10),
-			formatNS(e.SelfNS),
+			metrics.FormatDur(e.SelfNS),
 			fmt.Sprintf("%.1f", selfPct),
-			formatNS(e.CumNS),
-			formatNS(mean),
+			metrics.FormatDur(e.CumNS),
+			metrics.FormatDur(mean),
 			formatBytes(e.AllocBytes),
 		)
 	}
@@ -275,21 +271,6 @@ func (p *Profile) WriteFolded(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// formatNS renders nanoseconds with a duration-appropriate unit.
-func formatNS(ns int64) string {
-	d := time.Duration(ns)
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	case d >= time.Microsecond:
-		return fmt.Sprintf("%.1fµs", float64(d)/float64(time.Microsecond))
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
 }
 
 // formatBytes renders a byte count in binary units, "-" for zero (the

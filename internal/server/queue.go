@@ -37,10 +37,12 @@ func newQueue(n, c int) *queue {
 
 // shardFor routes a job to its shard by hashing the shard key, giving
 // every (scale, seed) family a home worker whose suite cache stays warm.
+// The modulo is taken in uint32: where int is 32 bits, int(h.Sum32())
+// wraps negative for hashes above 2^31.
 func (q *queue) shardFor(j *Job) int {
 	h := fnv.New32a()
 	h.Write([]byte(j.Spec.shardKey()))
-	return int(h.Sum32()) % len(q.shards)
+	return int(h.Sum32() % uint32(len(q.shards)))
 }
 
 // push enqueues j on its shard. It reports false when the shard is full

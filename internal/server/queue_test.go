@@ -61,6 +61,15 @@ func TestQueueShardAffinity(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("64 seeds all hashed to one shard: %v", seen)
 	}
+	// Every index must be a real shard, also where int is 32 bits and a
+	// hash above 2^31 would wrap negative; 3 shards is not a power of two,
+	// so a wrapped hash shows up as a negative remainder.
+	q3 := newQueue(3, 4)
+	for seed := uint64(1); seed <= 64; seed++ {
+		if i := q3.shardFor(qjob("j-x", seed)); i < 0 || i >= 3 {
+			t.Fatalf("seed %d routed to shard %d, want [0, 3)", seed, i)
+		}
+	}
 }
 
 func TestQueueCloseStopsAdmissionAndDrains(t *testing.T) {
