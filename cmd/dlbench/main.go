@@ -84,6 +84,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/resilience"
+	"repro/internal/server"
 )
 
 func main() {
@@ -371,15 +372,29 @@ func run(args []string) error {
 	return inferErr
 }
 
-// startPprof serves the live exposition endpoints on addr in the
-// background, returning the bound address: net/http/pprof (via the
-// default mux its import registered on), /metrics (Prometheus text
-// exposition of the tracer's instruments) and /status (a JSON progress
-// document, including the latest resource-monitor sample when sm is
-// live). A fresh mux per call keeps repeated starts (tests) from
+// startPprof serves the live exposition endpoints (see
+// mountIntrospection) on addr in the background, returning the bound
+// address. A fresh mux per call keeps repeated starts (tests) from
 // double-registering paths.
 func startPprof(addr string, tr *obs.Tracer, sm *monitor.Sampler) (string, error) {
 	mux := http.NewServeMux()
+	mountIntrospection(mux, tr, sm, nil)
+	srv := &http.Server{Addr: addr, Handler: mux}
+	ln, err := newListener(addr)
+	if err != nil {
+		return "", fmt.Errorf("pprof listen %s: %w", addr, err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // best-effort debug endpoint
+	return ln.Addr().String(), nil
+}
+
+// mountIntrospection registers the live exposition endpoints on mux:
+// net/http/pprof (via the default mux its import registered on),
+// /metrics (Prometheus text exposition of the tracer's instruments) and
+// /status (the JSON status document, with the latest resource-monitor
+// sample when sm is live and the job core's view when srv is non-nil).
+// Both the -pprof listener and `dlbench serve` use it.
+func mountIntrospection(mux *http.ServeMux, tr *obs.Tracer, sm *monitor.Sampler, srv *server.Server) {
 	mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -390,33 +405,33 @@ func startPprof(addr string, tr *obs.Tracer, sm *monitor.Sampler) (string, error
 	start := time.Now()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(statusView(tr, sm, time.Since(start))); err != nil {
+		st := statusView(tr, sm, time.Since(start))
+		if srv != nil {
+			sv := srv.Status()
+			st.Server = &sv
+		}
+		if err := json.NewEncoder(w).Encode(st); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	srv := &http.Server{Addr: addr, Handler: mux}
-	ln, err := newListener(addr)
-	if err != nil {
-		return "", fmt.Errorf("pprof listen %s: %w", addr, err)
-	}
-	go srv.Serve(ln) //nolint:errcheck // best-effort debug endpoint
-	return ln.Addr().String(), nil
 }
 
 // status is the JSON document served at /status: where the sweep is right
 // now (cell, epoch, iteration, loss) plus the counter totals and, when
-// the monitor is on, the latest resource sample.
+// the monitor is on, the latest resource sample. Under `dlbench serve`
+// it also carries the job core's live view, which `dlbench top` renders.
 type status struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Cell          string            `json:"cell,omitempty"`
-	Scale         string            `json:"scale,omitempty"`
-	Epoch         int64             `json:"epoch"`
-	Iteration     int64             `json:"iteration"`
-	Loss          float64           `json:"loss"`
-	AccuracyPct   float64           `json:"accuracy_pct"`
-	Monitor       *monitor.Sample   `json:"monitor,omitempty"`
-	Counters      map[string]int64  `json:"counters,omitempty"`
-	Infos         map[string]string `json:"infos,omitempty"`
+	UptimeSeconds float64            `json:"uptime_seconds"`
+	Cell          string             `json:"cell,omitempty"`
+	Scale         string             `json:"scale,omitempty"`
+	Epoch         int64              `json:"epoch"`
+	Iteration     int64              `json:"iteration"`
+	Loss          float64            `json:"loss"`
+	AccuracyPct   float64            `json:"accuracy_pct"`
+	Monitor       *monitor.Sample    `json:"monitor,omitempty"`
+	Counters      map[string]int64   `json:"counters,omitempty"`
+	Infos         map[string]string  `json:"infos,omitempty"`
+	Server        *server.StatusView `json:"server,omitempty"`
 }
 
 // statusView assembles the /status document from a snapshot. NaN losses

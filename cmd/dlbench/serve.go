@@ -2,13 +2,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -74,28 +72,11 @@ func runServe(ctx context.Context, args []string, sink *progressSink) error {
 	mux.Handle("/jobs", srv.Handler())
 	mux.Handle("/jobs/", srv.Handler())
 	mux.Handle("/healthz", srv.Handler())
-	mux.Handle("/debug/pprof/", http.DefaultServeMux)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := metrics.WritePrometheus(w, tracer.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	start := time.Now()
 	// /status carries both layers: the generic process view (uptime,
 	// counters, latest monitor sample) plus the job core's live view
-	// (queue depths per shard, in-flight jobs with their current span) —
-	// everything `dlbench top` renders in one scrape.
-	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		st := struct {
-			status
-			Server server.StatusView `json:"server"`
-		}{statusView(tracer, sampler, time.Since(start)), srv.Status()}
-		if err := json.NewEncoder(w).Encode(st); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	// (queue depths per shard, in-flight jobs with their current span,
+	// stage latency summaries) — everything `dlbench top` renders.
+	mountIntrospection(mux, tracer, sampler, srv)
 
 	ln, err := newListener(*addr)
 	if err != nil {

@@ -13,18 +13,16 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/monitor"
 	"repro/internal/server"
 )
 
 // runTop implements `dlbench top`: a polling terminal dashboard over a
-// running daemon's /status and /metrics endpoints. Each frame shows the
-// queue depth per shard, every in-flight job with the lifecycle span it
-// is currently inside, rolling p50/p95 per stage (queue wait, execution,
-// end-to-end — scraped from the dlbench_server_*_seconds summaries), and
-// the resource monitor's heap/CPU/GC columns. It needs nothing from the
-// daemon beyond the two endpoints it already serves, so it works against
-// any reachable instance.
+// running daemon's /status endpoint. Each frame shows the queue depth per
+// shard, every in-flight job with the lifecycle span it is currently
+// inside, p50/p95 per stage (queue wait, execution, end-to-end — the
+// histograms /metrics exports, so bucketed estimates), and the resource
+// monitor's heap/CPU/GC columns. It needs nothing from the daemon beyond
+// that one endpoint, so it works against any reachable instance.
 func runTop(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dlbench top", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "daemon address (host:port)")
@@ -47,94 +45,35 @@ func runTop(ctx context.Context, args []string, out io.Writer) error {
 			case <-time.After(*interval):
 			}
 		}
-		st, quants, err := scrapeTop(hc, base)
+		st, err := scrapeTop(hc, base)
 		if err != nil {
 			return fmt.Errorf("top: %w", err)
 		}
 		if clear {
 			fmt.Fprint(out, "\x1b[H\x1b[2J")
 		}
-		renderTopFrame(out, base, st, quants)
+		renderTopFrame(out, base, st)
 	}
 	return nil
 }
 
-// topStatus mirrors the daemon's /status document: the generic process
-// fields plus the embedded job-core view.
-type topStatus struct {
-	UptimeSeconds float64            `json:"uptime_seconds"`
-	Monitor       *monitor.Sample    `json:"monitor"`
-	Server        *server.StatusView `json:"server"`
-	Counters      map[string]int64   `json:"counters"`
-}
-
 // scrapeTop fetches one dashboard frame's worth of state: the /status
-// JSON and the stage-latency summaries from /metrics.
-func scrapeTop(hc *http.Client, base string) (*topStatus, map[string]map[string]float64, error) {
+// document.
+func scrapeTop(hc *http.Client, base string) (*status, error) {
 	resp, err := hc.Get(base + "/status")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var st topStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		return nil, nil, fmt.Errorf("decode /status: %w", err)
+	defer resp.Body.Close()
+	var st status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return nil, fmt.Errorf("decode /status: %w", err)
 	}
-	resp, err = hc.Get(base + "/metrics")
-	if err != nil {
-		return nil, nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return nil, nil, fmt.Errorf("read /metrics: %w", err)
-	}
-	return &st, parseSummaryQuantiles(string(body)), nil
-}
-
-// parseSummaryQuantiles extracts every `family{quantile="q"} v` sample
-// from a Prometheus 0.0.4 text exposition, keyed family -> quantile.
-// Families without quantile labels (counters, gauges) land under the ""
-// quantile so the dashboard can read gauges from the same map.
-func parseSummaryQuantiles(text string) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64)
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(line[sp+1:]), 64)
-		if err != nil {
-			continue
-		}
-		name, q := line[:sp], ""
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			labels := name[i:]
-			name = name[:i]
-			if j := strings.Index(labels, `quantile="`); j >= 0 {
-				rest := labels[j+len(`quantile="`):]
-				if k := strings.IndexByte(rest, '"'); k >= 0 {
-					q = rest[:k]
-				}
-			}
-		}
-		m, ok := out[name]
-		if !ok {
-			m = make(map[string]float64)
-			out[name] = m
-		}
-		m[q] = v
-	}
-	return out
+	return &st, nil
 }
 
 // renderTopFrame writes one dashboard frame.
-func renderTopFrame(out io.Writer, base string, st *topStatus, quants map[string]map[string]float64) {
+func renderTopFrame(out io.Writer, base string, st *status) {
 	header := fmt.Sprintf("dlbench top — %s  uptime %s", base, time.Duration(st.UptimeSeconds*float64(time.Second)).Round(time.Second))
 	sv := st.Server
 	if sv != nil && sv.Draining {
@@ -143,8 +82,8 @@ func renderTopFrame(out io.Writer, base string, st *topStatus, quants map[string
 	fmt.Fprintln(out, header)
 	if sv != nil {
 		occ := 0.0
-		if m, ok := quants["dlbench_server_worker_occupancy"]; ok {
-			occ = m[""]
+		if sv.Workers > 0 {
+			occ = float64(sv.Inflight) / float64(sv.Workers)
 		}
 		fmt.Fprintf(out, "workers %d  inflight %d  occupancy %.0f%%\n", sv.Workers, sv.Inflight, occ*100)
 		depths := make([]string, len(sv.QueueDepths))
@@ -154,24 +93,19 @@ func renderTopFrame(out io.Writer, base string, st *topStatus, quants map[string
 			total += d
 		}
 		fmt.Fprintf(out, "queue depth %d  per shard [%s]\n", total, strings.Join(depths, " "))
-	}
 
-	fmt.Fprintf(out, "\n%-12s %12s %12s %8s\n", "stage", "p50", "p95", "count")
-	for _, stage := range []struct{ label, family string }{
-		{"queue_wait", "dlbench_server_queue_wait_seconds"},
-		{"exec", "dlbench_server_exec_seconds"},
-		{"e2e", "dlbench_server_e2e_seconds"},
-	} {
-		m := quants[stage.family]
-		count := int64(quants[stage.family+"_count"][""])
-		fmt.Fprintf(out, "%-12s %12s %12s %8d\n",
-			stage.label, topSeconds(m["0.5"]), topSeconds(m["0.95"]), count)
+		fmt.Fprintf(out, "\n%-12s %12s %12s %8s  (quantiles are bucketed estimates)\n", "stage", "p50", "p95", "count")
+		for _, stage := range []string{"queue_wait", "exec", "e2e"} {
+			d := sv.Stages[stage]
+			fmt.Fprintf(out, "%-12s %12s %12s %8d\n",
+				stage, topDuration(d.P50NS), topDuration(d.P95NS), d.Count)
+		}
 	}
 
 	if smp := st.Monitor; smp != nil {
-		fmt.Fprintf(out, "\nmonitor: heap %s  live %s  goroutines %d  cpu %.1f%%  gc %d (p50 %s p99 %s)\n",
+		fmt.Fprintf(out, "\nmonitor: heap %s  live %s  goroutines %d  cpu %.1f%%  gc %d (p50 %s p99 %s) bucketed estimates\n",
 			topBytes(smp.HeapInuseBytes), topBytes(smp.HeapLiveBytes), smp.Goroutines, smp.CPUPct,
-			smp.GCCount, topSeconds(float64(smp.GCPauseP50NS)/1e9), topSeconds(float64(smp.GCPauseP99NS)/1e9))
+			smp.GCCount, topDuration(smp.GCPauseP50NS), topDuration(smp.GCPauseP99NS))
 	}
 
 	if sv != nil {
@@ -191,12 +125,12 @@ func renderTopFrame(out io.Writer, base string, st *topStatus, quants map[string
 	}
 }
 
-// topSeconds renders a duration-in-seconds with a sensible unit.
-func topSeconds(s float64) string {
-	if s <= 0 {
+// topDuration renders a nanosecond duration with a sensible unit.
+func topDuration(ns int64) string {
+	if ns <= 0 {
 		return "-"
 	}
-	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
+	return time.Duration(ns).Round(time.Microsecond).String()
 }
 
 // topBytes renders a byte count in MiB.

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// cannedTopServer serves a fixed /status + /metrics pair shaped exactly
-// like a live daemon's, so the dashboard render is asserted end to end
-// without running jobs.
+// cannedTopServer serves a fixed /status document shaped exactly like a
+// live daemon's, so the dashboard render is asserted end to end without
+// running jobs.
 func cannedTopServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	statusBody := `{
@@ -27,34 +27,18 @@ func cannedTopServer(t *testing.T) *httptest.Server {
 			"active_jobs": [
 				{"id": "j-1", "state": "running", "span": "job.exec", "attempts": 1, "cell": "tf/mnist"},
 				{"id": "j-2", "state": "queued", "span": "job.queue_wait", "attempts": 0, "cell": "torch/mnist"}
-			]
+			],
+			"stages": {
+				"queue_wait": {"count": 7, "sum_ns": 100000000, "p50_ns": 2000000, "p95_ns": 40000000},
+				"exec": {"count": 7, "p50_ns": 500000000, "p95_ns": 1250000000},
+				"e2e": {"count": 7, "p50_ns": 510000000, "p95_ns": 1500000000}
+			}
 		}
 	}`
-	metricsBody := strings.Join([]string{
-		`# TYPE dlbench_server_queue_wait_seconds summary`,
-		`dlbench_server_queue_wait_seconds{quantile="0.5"} 0.002`,
-		`dlbench_server_queue_wait_seconds{quantile="0.95"} 0.04`,
-		`dlbench_server_queue_wait_seconds_sum 0.1`,
-		`dlbench_server_queue_wait_seconds_count 7`,
-		`# TYPE dlbench_server_exec_seconds summary`,
-		`dlbench_server_exec_seconds{quantile="0.5"} 0.5`,
-		`dlbench_server_exec_seconds{quantile="0.95"} 1.25`,
-		`dlbench_server_exec_seconds_count 7`,
-		`# TYPE dlbench_server_e2e_seconds summary`,
-		`dlbench_server_e2e_seconds{quantile="0.5"} 0.51`,
-		`dlbench_server_e2e_seconds{quantile="0.95"} 1.5`,
-		`dlbench_server_e2e_seconds_count 7`,
-		`# TYPE dlbench_server_worker_occupancy gauge`,
-		`dlbench_server_worker_occupancy 0.5`,
-		``,
-	}, "\n")
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(statusBody))
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(metricsBody))
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -95,7 +79,7 @@ func TestRunTopRendersDashboard(t *testing.T) {
 	if strings.Contains(got, "\x1b[") {
 		t.Error("piped output contains ANSI escape sequences")
 	}
-	// The stage table's per-family counts come from the _count samples.
+	// The stage table's count column comes from each stage's count.
 	if !strings.Contains(got, "       7\n") && !strings.Contains(got, "       7 ") {
 		t.Errorf("stage table missing count column value 7:\n%s", got)
 	}
@@ -105,28 +89,5 @@ func TestRunTopRejectsPositionalArgs(t *testing.T) {
 	var out bytes.Buffer
 	if err := runTop(context.Background(), []string{"bogus"}, &out); err == nil {
 		t.Fatal("positional argument accepted")
-	}
-}
-
-func TestParseSummaryQuantiles(t *testing.T) {
-	m := parseSummaryQuantiles(strings.Join([]string{
-		`# HELP x y`,
-		`fam{quantile="0.5"} 1.5`,
-		`fam{quantile="0.99"} 2.5`,
-		`fam_count 4`,
-		`plain_gauge 7`,
-		`garbage line without number x`,
-	}, "\n"))
-	if m["fam"]["0.5"] != 1.5 || m["fam"]["0.99"] != 2.5 {
-		t.Fatalf("quantiles parsed wrong: %+v", m["fam"])
-	}
-	if m["fam_count"][""] != 4 {
-		t.Fatalf("count parsed wrong: %+v", m["fam_count"])
-	}
-	if m["plain_gauge"][""] != 7 {
-		t.Fatalf("gauge parsed wrong: %+v", m["plain_gauge"])
-	}
-	if _, ok := m["garbage"]; ok {
-		t.Fatal("garbage line parsed as a sample")
 	}
 }

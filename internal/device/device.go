@@ -38,18 +38,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Hardware describes a modeled physical device.
-type Hardware struct {
-	Kind Kind
-	Name string
-}
-
-// The paper's testbed devices.
-var (
-	PaperCPU = Hardware{Kind: CPU, Name: "Intel Xeon E5-1620 @ 3.6GHz"}
-	PaperGPU = Hardware{Kind: GPU, Name: "Nvidia GeForce GTX 1080 Ti (11GB)"}
-)
-
 // CostModel holds the fitted constants for one (framework, device) pair.
 // All times are in seconds; throughput is in FLOP/s.
 type CostModel struct {
@@ -113,23 +101,3 @@ func (m CostModel) TestSeconds(flopsPerSample int64, n, batch, dispatchesPerIter
 		float64(n)*m.SampleOverhead +
 		float64(iters*dispatchesPerIter)*m.DispatchOverhead
 }
-
-// Clock is a simulated clock that accumulates modeled seconds. Experiments
-// advance it with cost-model outputs and report both modeled and wall
-// time.
-type Clock struct {
-	seconds float64
-}
-
-// Advance adds d modeled seconds (negative values are ignored).
-func (c *Clock) Advance(d float64) {
-	if d > 0 {
-		c.seconds += d
-	}
-}
-
-// Seconds returns the accumulated modeled time.
-func (c *Clock) Seconds() float64 { return c.seconds }
-
-// Reset zeroes the clock.
-func (c *Clock) Reset() { c.seconds = 0 }

@@ -95,17 +95,3 @@ func TestCostModelMonotonicity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestClock(t *testing.T) {
-	var c Clock
-	c.Advance(1.5)
-	c.Advance(2.5)
-	c.Advance(-1) // ignored
-	if c.Seconds() != 4 {
-		t.Fatalf("clock = %v, want 4", c.Seconds())
-	}
-	c.Reset()
-	if c.Seconds() != 0 {
-		t.Fatal("reset failed")
-	}
-}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -196,5 +198,51 @@ func TestProfilingModeEmitsPerOpSpans(t *testing.T) {
 				t.Errorf("%s.forward spans = %d, want 2", name, got)
 			}
 		})
+	}
+}
+
+// TestInt8StageSpansCoverForward: in profiling mode the int8 column's
+// per-stage op spans must time the stages themselves, so together they
+// cover most of the int8.forward span around them. Profiling's memory
+// samples sit between spans and a loaded host can stretch them, so the
+// best of several passes is judged.
+func TestInt8StageSpansCoverForward(t *testing.T) {
+	tr := obs.New()
+	tr.EnableProfiling()
+	q, err := NewQuant(buildNet(t, 23), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(256, 1, 10, 10)
+	tensor.NewRNG(24).FillNormal(x, 0, 1)
+	const passes = 5
+	for i := 0; i < passes; i++ {
+		if _, err := q.Logits(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spans := tr.Spans()
+	best, forwards := 0.0, 0
+	for _, fwd := range spans {
+		if fwd.Name != "int8.forward" {
+			continue
+		}
+		forwards++
+		var staged time.Duration
+		for _, op := range spans {
+			if strings.HasPrefix(op.Name, "int8.op.") && op.Start >= fwd.Start && op.Start+op.Dur <= fwd.Start+fwd.Dur {
+				staged += op.Dur
+			}
+		}
+		if c := float64(staged) / float64(fwd.Dur); c > best {
+			best = c
+		}
+	}
+	if forwards != passes {
+		t.Fatalf("recorded %d int8.forward spans, want %d", forwards, passes)
+	}
+	t.Logf("best pass: int8.op.* spans cover %.1f%% of int8.forward", 100*best)
+	if best < 0.5 {
+		t.Fatalf("int8.op.* spans cover %.1f%% of int8.forward in the best pass, want >= 50%%", 100*best)
 	}
 }

@@ -77,15 +77,26 @@ func (q *QuantExecutor) Logits(ctx context.Context, x *tensor.Tensor) (out *tens
 	sp := q.tr.Span("int8.forward", CatEngine)
 	defer sp.End()
 	profiling := q.tr.ProfilingEnabled()
+	// The callback fires before each stage runs, so a stage's op span
+	// runs from its own callback to the next one (or the end of the
+	// pass), opened after the op hook as in the float executors.
+	var stageSp obs.Span
 	out, err = q.qnet.ForwardWithHook(x, func(stage string) error {
 		if profiling {
-			q.tr.Span(OpSpanName("int8", stage), CatOp).End()
+			stageSp.End()
+			stageSp = obs.Span{}
 		}
 		if q.hook != nil {
-			return q.hook("int8.forward")
+			if err := q.hook("int8.forward"); err != nil {
+				return err
+			}
+		}
+		if profiling {
+			stageSp = q.tr.Span(OpSpanName("int8", stage), CatOp)
 		}
 		return nil
 	})
+	stageSp.End()
 	if err != nil {
 		return nil, err
 	}

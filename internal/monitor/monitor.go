@@ -141,18 +141,6 @@ func New(cfg Config) *Sampler {
 	return s
 }
 
-// Enabled reports whether the sampler exists — the counterpart of the
-// obs nil-tracer test, used by callers gating monitor-only work.
-func (s *Sampler) Enabled() bool { return s != nil }
-
-// Interval returns the configured sampling period (zero on nil).
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
 // Start launches the fixed-interval sampling goroutine. Safe to call on
 // nil (no-op) and idempotent while running.
 func (s *Sampler) Start() {

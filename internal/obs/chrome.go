@@ -96,8 +96,8 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 			}
 			doc.Metadata["counters"] = counters
 		}
-		// Registry-scoped tracers carry their correlation ID; exporting it
-		// lets a downloaded per-job trace name the job it came from.
+		// A per-job tracer carries its job ID as the scope.id info;
+		// exporting it lets a downloaded trace name the job it came from.
 		if id, ok := snap.Infos["scope.id"]; ok && id != "" {
 			doc.Metadata["scopeID"] = id
 		}

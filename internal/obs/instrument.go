@@ -224,8 +224,12 @@ func (h *Histogram) quantileLocked(q float64) int64 {
 	return h.max
 }
 
-// stats extracts a DurStats view of the histogram.
-func (h *Histogram) stats() DurStats {
+// Stats extracts a DurStats view of the histogram (the zero DurStats on
+// a nil receiver).
+func (h *Histogram) Stats() DurStats {
+	if h == nil {
+		return DurStats{}
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := DurStats{

@@ -56,10 +56,10 @@ type Tracer struct {
 	mu      sync.Mutex
 	spans   []spanRec
 	dropped int64
-	depth   int32
-	// open is the stack of currently-open span names, outermost first.
-	// CurrentSpan reads its top so live introspection (`dlbench top`, the
-	// serve /status view) can show what a scope is doing right now.
+	// open is the stack of currently-open span names, outermost first; its
+	// length is the depth of the next span. CurrentSpan reads its top so
+	// live introspection (the serve /status view) can show what a tracer
+	// is doing right now.
 	open []string
 
 	imu    sync.Mutex
@@ -117,8 +117,7 @@ func (t *Tracer) Span(name, cat string) Span {
 		return Span{}
 	}
 	t.mu.Lock()
-	d := t.depth
-	t.depth++
+	d := int32(len(t.open))
 	t.open = append(t.open, name)
 	t.mu.Unlock()
 	s := Span{t: t, name: name, cat: cat, depth: d}
@@ -131,10 +130,12 @@ func (t *Tracer) Span(name, cat string) Span {
 }
 
 // End closes the span, recording it and feeding the duration histogram
-// registered under the span's name.
-func (s Span) End() {
+// registered under the span's name. It returns the span's duration, so a
+// caller that needs the number reads the same clock the trace shows; a
+// span from a nil tracer returns 0.
+func (s Span) End() time.Duration {
 	if s.t == nil {
-		return
+		return 0
 	}
 	dur := time.Since(s.t.epoch) - s.start
 	var alloc int64
@@ -144,9 +145,6 @@ func (s Span) End() {
 		}
 	}
 	s.t.mu.Lock()
-	if s.t.depth > 0 {
-		s.t.depth--
-	}
 	// Pop the innermost matching open-span entry. Spans usually close
 	// LIFO, making this the top of the stack, but concurrent spans on one
 	// tracer may close out of order — matching by name keeps the stack
@@ -164,13 +162,14 @@ func (s Span) End() {
 	}
 	s.t.mu.Unlock()
 	s.t.Histogram(s.name).Observe(dur)
+	return dur
 }
 
 // CurrentSpan returns the name of the innermost span currently open on
 // the tracer, or "" when no span is open (or on a nil tracer). It is the
 // live-introspection primitive: a polling dashboard can ask a job's
-// scoped tracer what stage it is in right now without waiting for the
-// span to close.
+// tracer what stage it is in right now without waiting for the span to
+// close.
 func (t *Tracer) CurrentSpan() string {
 	if t == nil {
 		return ""

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -87,7 +88,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
 	}
-	s := h.stats()
+	s := h.Stats()
 	if s.Count != 100 {
 		t.Fatalf("histogram count = %d", s.Count)
 	}
@@ -309,5 +310,121 @@ func TestWriteChromeTraceMonitorCounters(t *testing.T) {
 	}
 	if counters != 1 {
 		t.Fatalf("counter events = %d, want 1 (run.start must not export)", counters)
+	}
+}
+
+// TestSpanEndReturnsRecordedDuration: End hands back exactly the
+// duration the span record (and so the Chrome trace) carries, so callers
+// that need the number never run a second clock.
+func TestSpanEndReturnsRecordedDuration(t *testing.T) {
+	tr := New()
+	sp := tr.Span("work", "test")
+	time.Sleep(time.Millisecond)
+	d := sp.End()
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Dur != d {
+		t.Fatalf("End returned %v, recorded spans %+v", d, spans)
+	}
+	if d < time.Millisecond {
+		t.Fatalf("End returned %v, want >= 1ms", d)
+	}
+	var nilTr *Tracer
+	if d := nilTr.Span("x", "test").End(); d != 0 {
+		t.Fatalf("nil tracer span End = %v, want 0", d)
+	}
+}
+
+func TestCurrentSpanTracksOpenStack(t *testing.T) {
+	tr := New()
+	if got := tr.CurrentSpan(); got != "" {
+		t.Fatalf("CurrentSpan on idle tracer = %q, want empty", got)
+	}
+	outer := tr.Span("outer", "test")
+	if got := tr.CurrentSpan(); got != "outer" {
+		t.Fatalf("CurrentSpan = %q, want outer", got)
+	}
+	inner := tr.Span("inner", "test")
+	if got := tr.CurrentSpan(); got != "inner" {
+		t.Fatalf("CurrentSpan = %q, want inner", got)
+	}
+	inner.End()
+	if got := tr.CurrentSpan(); got != "outer" {
+		t.Fatalf("CurrentSpan after inner End = %q, want outer", got)
+	}
+	outer.End()
+	if got := tr.CurrentSpan(); got != "" {
+		t.Fatalf("CurrentSpan after all spans closed = %q, want empty", got)
+	}
+
+	var nilTr *Tracer
+	if got := nilTr.CurrentSpan(); got != "" {
+		t.Fatalf("nil tracer CurrentSpan = %q, want empty", got)
+	}
+}
+
+func TestCurrentSpanOutOfOrderEnd(t *testing.T) {
+	tr := New()
+	a := tr.Span("a", "test")
+	b := tr.Span("b", "test")
+	a.End() // closes out of LIFO order
+	if got := tr.CurrentSpan(); got != "b" {
+		t.Fatalf("CurrentSpan after out-of-order End = %q, want b", got)
+	}
+	b.End()
+	if got := tr.CurrentSpan(); got != "" {
+		t.Fatalf("CurrentSpan = %q, want empty", got)
+	}
+}
+
+func TestEventSeqMonotonicAndGapOnDrop(t *testing.T) {
+	tr := New()
+	for i := 0; i < 3; i++ {
+		tr.Emit("tick", nil)
+	}
+	evs := tr.Events()
+	if len(evs) != 3 {
+		t.Fatalf("got %d events, want 3", len(evs))
+	}
+	for i, ev := range evs {
+		if want := int64(i + 1); ev.Seq != want {
+			t.Fatalf("event %d Seq = %d, want %d", i, ev.Seq, want)
+		}
+	}
+	line, err := EventLine(evs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(line), `"seq":3`) {
+		t.Fatalf("EventLine missing seq field: %s", line)
+	}
+}
+
+func TestEventSeqCountsDroppedEvents(t *testing.T) {
+	tr := New()
+	for i := 0; i < maxEvents+5; i++ {
+		tr.Emit("flood", nil)
+	}
+	if got := tr.EventsDropped(); got != 5 {
+		t.Fatalf("EventsDropped = %d, want 5", got)
+	}
+	// A post-flood emit would take seq maxEvents+6; the retained log ends
+	// at maxEvents, so seq numbering exposes exactly the dropped range.
+	evs := tr.Events()
+	if got := evs[len(evs)-1].Seq; got != int64(maxEvents) {
+		t.Fatalf("last retained Seq = %d, want %d", got, maxEvents)
+	}
+}
+
+func TestChromeTraceCarriesScopeID(t *testing.T) {
+	tr := New()
+	tr.Info("scope.id").Set("j-42")
+	sp := tr.Span("work", "test")
+	sp.End()
+	var sb strings.Builder
+	if err := WriteChromeTrace(&sb, tr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `"scopeID":"j-42"`) {
+		t.Fatalf("chrome trace missing scopeID metadata: %s", sb.String())
 	}
 }

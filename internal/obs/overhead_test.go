@@ -113,21 +113,9 @@ func BenchmarkDisabledEmit(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledRegistryLookup measures the no-op scope lookup on a
-// nil registry — the unit cost lookup-per-request server paths pay when
-// scoped tracing is off.
-func BenchmarkDisabledRegistryLookup(b *testing.B) {
-	var r *obs.Registry
-	for i := 0; i < b.N; i++ {
-		if tr := r.Lookup("x"); tr != nil {
-			b.Fatal("nil registry produced a tracer")
-		}
-	}
-}
-
 // BenchmarkDisabledCurrentSpan measures the no-op current-span read on a
 // nil tracer — the unit cost live-introspection paths (the serve /status
-// in-flight view) pay per job when its scope is disabled.
+// in-flight view) pay per job when its tracer is disabled.
 func BenchmarkDisabledCurrentSpan(b *testing.B) {
 	var tr *obs.Tracer
 	for i := 0; i < b.N; i++ {
@@ -177,12 +165,10 @@ func TestDisabledTracerOverheadUnderTwoPercent(t *testing.T) {
 	// profiling-mode test each executor pass makes on a live tracer with
 	// profiling off (the default), the nil event emission the loop
 	// boundaries pay without -events, the nil-sampler reads the
-	// monitor-aware paths pay without -monitor, and the nil-registry
-	// lookup plus nil current-span read the serve introspection paths pay
-	// when scoped tracing is off.
+	// monitor-aware paths pay without -monitor, and the nil current-span
+	// read the serve introspection path pays on a disabled tracer.
 	var tr *obs.Tracer
 	var sm *monitor.Sampler
-	var reg *obs.Registry
 	live := obs.New()
 	c := tr.Counter("x")
 	const ops = 1_000_000
@@ -196,9 +182,6 @@ func TestDisabledTracerOverheadUnderTwoPercent(t *testing.T) {
 		}
 		tr.Emit("x", nil)
 		if _, ok := sm.Latest(); ok {
-			profiled++
-		}
-		if reg.Lookup("x") != nil {
 			profiled++
 		}
 		if tr.CurrentSpan() != "" {

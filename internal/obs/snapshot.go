@@ -66,7 +66,7 @@ func (t *Tracer) Snapshot() *Snapshot {
 		s.Gauges[name] = GaugeStats{Last: last, Min: min, Max: max, N: n}
 	}
 	for name, h := range t.hists {
-		s.Durations[name] = h.stats()
+		s.Durations[name] = h.Stats()
 	}
 	if len(t.infos) > 0 {
 		s.Infos = make(map[string]string, len(t.infos))
@@ -130,7 +130,7 @@ func Delta(prev, cur *Snapshot) *Snapshot {
 		// Extrema of the delta population are unknowable from aggregates;
 		// bound them by the bucket range of the delta counts.
 		h.min, h.max = bucketRange(&h.buckets)
-		out.Durations[name] = h.stats()
+		out.Durations[name] = h.Stats()
 	}
 	return out
 }

@@ -162,15 +162,6 @@ func (p *Profile) CoveragePct() float64 {
 	return 100 * float64(p.AttributedNS) / float64(p.WallNS)
 }
 
-// Top returns the first n entries (the highest self times); fewer when
-// the profile is smaller.
-func (p *Profile) Top(n int) []Entry {
-	if n > len(p.Entries) {
-		n = len(p.Entries)
-	}
-	return p.Entries[:n]
-}
-
 // WriteTable renders the profile as the sorted text report served by
 // dlbench -profile: a coverage header plus one row per span name.
 func (p *Profile) WriteTable(w io.Writer) error {

@@ -193,17 +193,3 @@ func TestBuildEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTopN(t *testing.T) {
-	p := Build(syntheticSpans())
-	top := p.Top(2)
-	if len(top) != 2 {
-		t.Fatalf("top = %+v", top)
-	}
-	if top[0].SelfNS < top[1].SelfNS {
-		t.Fatal("top not sorted")
-	}
-	if got := p.Top(100); len(got) != len(p.Entries) {
-		t.Fatalf("Top(100) = %d entries", len(got))
-	}
-}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -236,8 +235,10 @@ type Job struct {
 	Spec   JobSpec
 	Client string
 
-	// tracer receives the job's execution spans and typed events; the
-	// /jobs/{id}/events stream renders it incrementally as JSONL.
+	// tracer receives the job's lifecycle and execution spans and its
+	// typed events. It lives and dies with the job record: /trace and
+	// /profile render its spans, and the /jobs/{id}/events stream renders
+	// its events incrementally as JSONL.
 	tracer *obs.Tracer
 
 	mu        sync.Mutex
@@ -253,22 +254,19 @@ type Job struct {
 
 	// queueSpan is the open job.queue_wait span between the queue push
 	// (handler or recovery goroutine) and the worker pop; queueNS and
-	// execNS accumulate the job's measured queue residency and attempt
-	// execution time, the server-attributed halves of its e2e latency.
+	// execNS sum the durations of the job's job.queue_wait and job.exec
+	// spans, the server-attributed halves of its e2e latency.
 	queueSpan     obs.Span
 	queueSpanOpen bool
-	queueStart    time.Time
 	queueNS       int64
 	execNS        int64
 }
 
-// newJob constructs a queued job recording onto tr — its scoped tracer
-// from the server's registry (a fresh private tracer when nil, so tests
-// constructing jobs directly keep a live event log).
-func newJob(id string, spec JobSpec, client string, recovered bool, tr *obs.Tracer) *Job {
-	if tr == nil {
-		tr = obs.New()
-	}
+// newJob constructs a queued job with a tracer of its own, which carries
+// the job ID as its "scope.id" info so every export of it names the job.
+func newJob(id string, spec JobSpec, client string, recovered bool) *Job {
+	tr := obs.New()
+	tr.Info("scope.id").Set(id)
 	return &Job{
 		ID:        id,
 		Spec:      spec,
@@ -292,23 +290,20 @@ func (j *Job) beginQueueWait() {
 	}
 	j.queueSpan = j.tracer.Span(SpanQueueWait, "server")
 	j.queueSpanOpen = true
-	j.queueStart = time.Now()
 }
 
-// endQueueWait closes the queue-wait span, accumulates the residency and
+// endQueueWait closes the queue-wait span, accumulates its duration and
 // returns it (0, false when no span was open — direct-run tests).
 func (j *Job) endQueueWait() (time.Duration, bool) {
 	j.mu.Lock()
 	open := j.queueSpanOpen
 	span := j.queueSpan
-	start := j.queueStart
 	j.queueSpanOpen = false
 	j.mu.Unlock()
 	if !open {
 		return 0, false
 	}
-	span.End()
-	d := time.Since(start)
+	d := span.End()
 	j.mu.Lock()
 	j.queueNS += d.Nanoseconds()
 	j.mu.Unlock()
@@ -393,7 +388,7 @@ type JobView struct {
 	// (RunSeconds includes retry backoff between attempts).
 	QueueSeconds float64 `json:"queue_seconds"`
 	RunSeconds   float64 `json:"run_seconds"`
-	// ExecSeconds is the summed execution time of the job's attempts —
+	// ExecSeconds is the summed duration of the job's job.exec spans —
 	// RunSeconds minus retry backoff — and E2ESeconds the total
 	// submission-to-terminal latency. Both are 0 until the stage (or the
 	// job) completes, so a finished job's record carries its full
@@ -421,8 +416,8 @@ func (j *Job) View() JobView {
 		ExecSeconds: float64(j.execNS) / 1e9,
 	}
 	if j.queueNS > 0 {
-		// Measured queue residency (the job.queue_wait span), exact even
-		// for recovered jobs whose submitted clock restarted.
+		// The job.queue_wait spans' total, exact even for recovered jobs
+		// whose submitted clock restarted.
 		v.QueueSeconds = float64(j.queueNS) / 1e9
 	} else if j.started.IsZero() {
 		v.QueueSeconds = time.Since(j.submitted).Seconds()
@@ -440,9 +435,4 @@ func (j *Job) View() JobView {
 		v.E2ESeconds = j.finished.Sub(j.submitted).Seconds()
 	}
 	return v
-}
-
-// MarshalJSON renders the view, so a *Job can be encoded directly.
-func (j *Job) MarshalJSON() ([]byte, error) {
-	return json.Marshal(j.View())
 }

@@ -28,8 +28,8 @@ func TestJournalRoundTripAndCompaction(t *testing.T) {
 	if len(pending) != 0 || maxSeq != 0 || len(warnings) != 0 {
 		t.Fatalf("fresh journal: pending=%v maxSeq=%d warnings=%v", pending, maxSeq, warnings)
 	}
-	j1 := newJob("j-1", testSpec(), "c1", false, nil)
-	j2 := newJob("j-2", testSpec(), "c2", false, nil)
+	j1 := newJob("j-1", testSpec(), "c1", false)
+	j2 := newJob("j-2", testSpec(), "c2", false)
 	if err := jl.submit(j1); err != nil {
 		t.Fatalf("submit j-1: %v", err)
 	}

@@ -10,7 +10,7 @@ func qjob(id string, seed uint64) *Job {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return newJob(id, spec, "", false, nil)
+	return newJob(id, spec, "", false)
 }
 
 func TestQueueFIFOWithinShard(t *testing.T) {

@@ -68,7 +68,7 @@ const (
 	GaugeWorkerOccupancy = "server.worker_occupancy"
 )
 
-// Lifecycle span names recorded on each job's scoped tracer: admission
+// Lifecycle span names recorded on each job's tracer: admission
 // (with the journal fsync as a child), queue residency, per-attempt
 // execution, retry backoff, and terminal reporting. Sequential and
 // non-overlapping, so /jobs/{id}/trace shows one root-level timeline
@@ -105,11 +105,9 @@ type Config struct {
 	MaxJobTimeout time.Duration
 	// JobRetries is the number of job-level retry attempts for transient
 	// failures (beyond the training loop's own in-process resilience
-	// retries); default 1. RetryBase/RetryMax shape the jittered backoff
-	// between attempts (defaults 100ms/5s).
+	// retries); default 1. Attempts are separated by a jittered backoff
+	// between retryBase and retryMax.
 	JobRetries int
-	RetryBase  time.Duration
-	RetryMax   time.Duration
 	// JournalPath enables the crash-safe job journal; empty disables it
 	// (accepted jobs then die with the process).
 	JournalPath string
@@ -117,12 +115,9 @@ type Config struct {
 	// oldest terminal jobs are evicted. Default 16384.
 	MaxJobsRetained int
 	// Tracer receives the server's gauges and counters (a fresh private
-	// tracer when nil — instruments always work).
+	// tracer when nil — instruments always work). Each job records its
+	// own spans and events on a tracer of its own (see Job).
 	Tracer *obs.Tracer
-	// Registry scopes a tracer per accepted job (the correlation-ID →
-	// tracer map behind /jobs/{id}/trace and /profile). Nil gets a
-	// registry bounded like the job table, so every server is scoped.
-	Registry *obs.Registry
 	// Sampler, when non-nil, drives load shedding and memory-pressure
 	// cache drops from its latest resource sample.
 	Sampler *monitor.Sampler
@@ -131,6 +126,13 @@ type Config struct {
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
 }
+
+// The jittered backoff between job-level attempts grows from retryBase
+// and is capped at retryMax.
+const (
+	retryBase = 100 * time.Millisecond
+	retryMax  = 5 * time.Second
+)
 
 // withDefaults fills unset knobs.
 func (c Config) withDefaults() Config {
@@ -152,12 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.JobRetries < 0 {
 		c.JobRetries = 0
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 5 * time.Second
-	}
 	if c.MaxJobsRetained <= 0 {
 		c.MaxJobsRetained = 16384
 	}
@@ -173,7 +169,6 @@ type Server struct {
 	lim     *limiter
 	journal *journal
 	tracer  *obs.Tracer
-	reg     *obs.Registry
 	run     RunFunc
 
 	// draining closes when Shutdown begins: admission stops and workers
@@ -187,9 +182,6 @@ type Server struct {
 	wg       sync.WaitGroup
 	inflight atomic.Int64
 	seq      atomic.Int64
-
-	// ewmaJobNS tracks a smoothed job duration for Retry-After hints.
-	ewmaJobNS atomic.Int64
 
 	jobsMu sync.Mutex
 	jobs   map[string]*Job
@@ -211,17 +203,12 @@ func New(cfg Config) (*Server, error) {
 	if tr == nil {
 		tr = obs.New()
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry(cfg.MaxJobsRetained)
-	}
 	hardCtx, hardStop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
 		q:        newQueue(cfg.Workers, cfg.QueueCap),
 		lim:      newLimiter(cfg.RatePerSec, cfg.Burst),
 		tracer:   tr,
-		reg:      reg,
 		draining: make(chan struct{}),
 		hardCtx:  hardCtx,
 		hardStop: hardStop,
@@ -278,11 +265,10 @@ func New(cfg Config) (*Server, error) {
 	// fit stay journaled (their submit records were preserved by
 	// compaction) and will be recovered by a later, emptier start.
 	for _, p := range recovered {
-		j := newJob(p.ID, p.Spec, p.Client, true, s.reg.Scope(p.ID))
+		j := newJob(p.ID, p.Spec, p.Client, true)
 		j.beginQueueWait()
 		if !s.q.push(j) {
 			j.endQueueWait()
-			s.reg.Release(p.ID)
 			s.logf("recovery: queue full, job %s left journaled for next start", p.ID)
 			continue
 		}
@@ -312,7 +298,8 @@ func (s *Server) journalState(id string, st State) {
 }
 
 // remember inserts j into the job table, evicting the oldest terminal
-// jobs past the retention bound.
+// jobs past the retention bound. An evicted job's tracer goes with its
+// record, so its /trace and /profile 404 from then on.
 func (s *Server) remember(j *Job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
@@ -326,9 +313,6 @@ func (s *Server) remember(j *Job) {
 	for _, id := range s.jobIDs {
 		if evicted < len(s.jobIDs)-s.cfg.MaxJobsRetained && terminal(s.jobs[id].State()) {
 			delete(s.jobs, id)
-			// The job record goes, so its trace scope goes with it —
-			// /jobs/{id}/trace 404s instead of leaking tracers.
-			s.reg.Release(id)
 			evicted++
 			continue
 		}
@@ -345,15 +329,20 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// JobViews snapshots every retained job in submission order.
-func (s *Server) JobViews() []JobView {
+// retained snapshots the job table in submission order.
+func (s *Server) retained() []*Job {
 	s.jobsMu.Lock()
-	ids := append([]string(nil), s.jobIDs...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
+	defer s.jobsMu.Unlock()
+	jobs := make([]*Job, 0, len(s.jobIDs))
+	for _, id := range s.jobIDs {
 		jobs = append(jobs, s.jobs[id])
 	}
-	s.jobsMu.Unlock()
+	return jobs
+}
+
+// JobViews snapshots every retained job in submission order.
+func (s *Server) JobViews() []JobView {
+	jobs := s.retained()
 	out := make([]JobView, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.View())
@@ -372,13 +361,19 @@ type StatusView struct {
 	// ActiveJobs lists every non-terminal job with its current lifecycle
 	// span — what each worker (and the queue) is doing right now.
 	ActiveJobs []ActiveJob `json:"active_jobs,omitempty"`
+	// Stages summarizes queue wait, execution (one observation per
+	// attempt) and e2e latency over all jobs so far, keyed queue_wait,
+	// exec and e2e. They are the histograms /metrics exports as the
+	// dlbench_server_*_seconds summaries, so the quantiles are bucketed
+	// estimates.
+	Stages map[string]obs.DurStats `json:"stages"`
 }
 
 // ActiveJob is one non-terminal job in the status view.
 type ActiveJob struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
-	// Span is the innermost open span on the job's scoped tracer
+	// Span is the innermost open span on the job's tracer
 	// ("job.queue_wait" for queued jobs; "graph.forward" etc. mid-run).
 	Span     string `json:"span,omitempty"`
 	Attempts int    `json:"attempts"`
@@ -392,14 +387,13 @@ func (s *Server) Status() StatusView {
 		Workers:     s.cfg.Workers,
 		Inflight:    s.inflight.Load(),
 		QueueDepths: s.q.depths(),
+		Stages: map[string]obs.DurStats{
+			"queue_wait": s.hQueueWait.Stats(),
+			"exec":       s.hExec.Stats(),
+			"e2e":        s.hE2E.Stats(),
+		},
 	}
-	s.jobsMu.Lock()
-	jobs := make([]*Job, 0, len(s.jobIDs))
-	for _, id := range s.jobIDs {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.jobsMu.Unlock()
-	for _, j := range jobs {
+	for _, j := range s.retained() {
 		st := j.State()
 		if terminal(st) {
 			continue
@@ -415,31 +409,17 @@ func (s *Server) Status() StatusView {
 	return sv
 }
 
-// observeJobSeconds feeds the EWMA behind Retry-After hints.
-func (s *Server) observeJobSeconds(secs float64) {
-	ns := int64(secs * 1e9)
-	for {
-		old := s.ewmaJobNS.Load()
-		next := ns
-		if old > 0 {
-			next = old + (ns-old)/4 // EWMA, alpha = 1/4
-		}
-		if s.ewmaJobNS.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // retryAfterSeconds estimates when a rejected submission is worth
-// retrying: the current backlog divided across workers, in smoothed
-// job-durations, floored at one second.
+// retrying: the current backlog divided across workers, in mean
+// job-attempt durations (one second before any attempt ran), floored at
+// one second.
 func (s *Server) retryAfterSeconds() int {
-	ewma := time.Duration(s.ewmaJobNS.Load())
-	if ewma <= 0 {
-		ewma = time.Second
+	mean := time.Duration(s.hExec.Stats().MeanNS())
+	if mean <= 0 {
+		mean = time.Second
 	}
 	backlog := float64(s.q.depth()+int(s.inflight.Load())) / float64(s.cfg.Workers)
-	secs := int(math.Ceil(backlog * ewma.Seconds()))
+	secs := int(math.Ceil(backlog * mean.Seconds()))
 	if secs < 1 {
 		secs = 1
 	}
@@ -611,10 +591,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := fmt.Sprintf("j-%d", s.seq.Add(1))
-	// The job's scoped tracer starts here: admission is the first span of
-	// its lifecycle trace, with the fsync isolated as a child so a slow
-	// disk is visible in /jobs/{id}/trace as journal time, not queue time.
-	j := newJob(id, spec, client, false, s.reg.Scope(id))
+	// The job's tracer starts here: admission is the first span of its
+	// lifecycle trace, with the fsync isolated as a child so a slow disk
+	// is visible in /jobs/{id}/trace as journal time, not queue time.
+	j := newJob(id, spec, client, false)
 	adm := j.tracer.Span(SpanAdmission, "server")
 	// Durability before acknowledgement: the journal record lands (and
 	// syncs) before the queue push and before the client sees the 202.
@@ -623,7 +603,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sync.End()
 	if err != nil {
 		adm.End()
-		s.reg.Release(id)
 		s.logf("journal: %v", err)
 		writeJSON(w, http.StatusInternalServerError, submitReply{Status: "error", Reason: "journal write failed"})
 		return
@@ -634,7 +613,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Rejected after journaling: record the rejection so restart
 		// recovery does not resurrect a job the client was told to retry.
 		j.endQueueWait()
-		s.reg.Release(id)
 		s.journalState(id, StateFailed)
 		s.cQueueFull.Inc()
 		secs := s.retryAfterSeconds()
@@ -671,33 +649,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-// jobTracer resolves the scoped tracer for a job ID: the registry is
-// authoritative, with the retained job record as fallback (a scope can
-// outlive neither — Release tracks eviction — but the fallback keeps the
-// endpoints working for servers constructed with an external registry
-// that was bounded smaller than the job table).
-func (s *Server) jobTracer(id string) *obs.Tracer {
-	if tr := s.reg.Lookup(id); tr != nil {
-		return tr
-	}
-	if j, ok := s.Job(id); ok {
-		return j.tracer
-	}
-	return nil
-}
-
 // handleTrace serves the job's span tree as Chrome trace_event JSON —
 // the same exporter as the CLI -trace flag, loadable in chrome://tracing
 // or Perfetto. Available at any lifecycle stage; a completed job's trace
 // tiles its whole e2e latency (admission → queue wait → exec → report).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr := s.jobTracer(r.PathValue("id"))
-	if tr == nil {
+	j, ok := s.Job(r.PathValue("id"))
+	if !ok {
 		writeJSON(w, http.StatusNotFound, submitReply{Status: "unknown", Reason: "no such job"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteChromeTrace(w, tr); err != nil {
+	if err := obs.WriteChromeTrace(w, j.tracer); err != nil {
 		s.logf("trace export: %v", err)
 	}
 }
@@ -706,8 +669,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // span name) built from the same spans as /trace. ?format=table (default)
 // | csv | folded.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	tr := s.jobTracer(r.PathValue("id"))
-	if tr == nil {
+	j, ok := s.Job(r.PathValue("id"))
+	if !ok {
 		writeJSON(w, http.StatusNotFound, submitReply{Status: "unknown", Reason: "no such job"})
 		return
 	}
@@ -721,7 +684,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, submitReply{Status: "invalid", Reason: fmt.Sprintf("unknown format %q (want table, csv or folded)", format)})
 		return
 	}
-	if err := profile.Build(tr.Spans()).Write(w, format); err != nil {
+	if err := profile.Build(j.tracer.Spans()).Write(w, format); err != nil {
 		s.logf("profile export: %v", err)
 	}
 }

@@ -253,7 +253,7 @@ func TestPanicContainment(t *testing.T) {
 		}
 		return okRun(ctx, shard, j)
 	}
-	s, ts := newTestServer(t, Config{Workers: 1, JobRetries: 1, RetryBase: time.Millisecond, Run: panicRun})
+	s, ts := newTestServer(t, Config{Workers: 1, JobRetries: 1, Run: panicRun})
 	_, bad := submit(t, ts, `{"framework":"torch","dataset":"mnist"}`, "")
 	j := waitState(t, s, bad.ID, StateFailed)
 	if v := j.View(); !strings.Contains(v.Error, "recovered panic") {
@@ -281,7 +281,7 @@ func TestTransientFailureRetriesWithBackoff(t *testing.T) {
 		}
 		return okRun(ctx, shard, j)
 	}
-	s, ts := newTestServer(t, Config{JobRetries: 2, RetryBase: time.Millisecond, Run: flaky})
+	s, ts := newTestServer(t, Config{JobRetries: 2, Run: flaky})
 	_, reply := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
 	j := waitState(t, s, reply.ID, StateCompleted)
 	if v := j.View(); v.Attempts != 2 {
@@ -390,7 +390,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Run: blockRun})
 	defer close(release)
-	s.observeJobSeconds(2.0) // pretend jobs take ~2s
+	s.hExec.Observe(2 * time.Second) // pretend jobs take ~2s
 	for i := 0; i < 5; i++ {
 		if code, _ := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, ""); code != http.StatusAccepted {
 			t.Fatalf("submit %d rejected", i)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // sleepRun is a stub runner with a measurable execution time, so stage
@@ -189,6 +188,13 @@ func TestServerStageMetricsExposition(t *testing.T) {
 			}
 		}
 	}
+	// /status renders the same histograms: one observation per stage.
+	stages := s.Status().Stages
+	for _, stage := range []string{"queue_wait", "exec", "e2e"} {
+		if got := stages[stage].Count; got != 1 {
+			t.Fatalf("Status().Stages[%q].Count = %d, want 1 like the exposition's _count", stage, got)
+		}
+	}
 	if !strings.Contains(expo, "# TYPE dlbench_server_worker_occupancy gauge") ||
 		!strings.Contains(expo, "\ndlbench_server_worker_occupancy 0\n") {
 		t.Fatalf("exposition missing worker occupancy gauge:\n%s", expo)
@@ -242,6 +248,37 @@ func TestJobViewStageDurations(t *testing.T) {
 	eh, err := strconv.ParseFloat(hdr.Get("X-DLBench-Exec-Seconds"), 64)
 	if err != nil || eh < v.ExecSeconds-tol || eh > v.ExecSeconds+tol {
 		t.Fatalf("X-DLBench-Exec-Seconds = %q (err %v), want ~%v", hdr.Get("X-DLBench-Exec-Seconds"), err, v.ExecSeconds)
+	}
+
+	// One clock per fact: the record's stage durations are the summed
+	// job.queue_wait and job.exec spans its /trace shows, not a second
+	// measurement of the same interval.
+	code, _, body = getBody(t, ts.URL+"/jobs/"+reply.ID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("GET /trace: status %d", code)
+	}
+	var doc chromeDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	spanSeconds := map[string]float64{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			spanSeconds[ev.Name] += ev.Dur / 1e6
+		}
+	}
+	const rounding = 1e-8
+	for _, c := range []struct {
+		field string
+		got   float64
+		span  string
+	}{
+		{"queue_seconds", v.QueueSeconds, SpanQueueWait},
+		{"exec_seconds", v.ExecSeconds, SpanExec},
+	} {
+		if d := c.got - spanSeconds[c.span]; d < -rounding || d > rounding {
+			t.Fatalf("%s = %.9f, but its %s spans sum to %.9f", c.field, c.got, c.span, spanSeconds[c.span])
+		}
 	}
 }
 
@@ -328,10 +365,10 @@ func TestEventsStreamSeqContiguous(t *testing.T) {
 }
 
 // TestTraceScopeReleasedOnEviction: evicting a terminal job from the
-// retention table releases its registry scope, so /trace 404s instead of
-// the registry pinning every tracer the daemon ever made.
+// retention table drops its tracer with its record, so /trace 404s
+// instead of the daemon pinning every tracer it ever made.
 func TestTraceScopeReleasedOnEviction(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxJobsRetained: 1, Registry: obs.NewRegistry(64)})
+	s, ts := newTestServer(t, Config{MaxJobsRetained: 1})
 	_, first := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
 	waitState(t, s, first.ID, StateCompleted)
 	_, second := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
@@ -342,8 +379,5 @@ func TestTraceScopeReleasedOnEviction(t *testing.T) {
 	}
 	if code, _, _ := getBody(t, ts.URL+"/jobs/"+second.ID+"/trace"); code != http.StatusOK {
 		t.Fatalf("retained job trace: status %d, want 200", code)
-	}
-	if s.reg.Len() != 1 {
-		t.Fatalf("registry retains %d scopes, want 1 after eviction", s.reg.Len())
 	}
 }

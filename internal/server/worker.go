@@ -63,8 +63,8 @@ func (s *Server) runJob(shard int, j *Job) {
 	}()
 
 	// The worker has the job: close its queue-wait span (opened by the
-	// admission handler or the recovery loop) and feed the stage
-	// histogram behind dlbench_server_queue_wait_seconds.
+	// admission handler or the recovery loop) and feed its duration to
+	// the stage histogram behind dlbench_server_queue_wait_seconds.
 	if wait, ok := j.endQueueWait(); ok {
 		s.hQueueWait.Observe(wait)
 	}
@@ -82,17 +82,14 @@ func (s *Server) runJob(shard int, j *Job) {
 		j.tracer.Emit("job.start", map[string]any{
 			"id": j.ID, "attempt": j.attempt(), "shard": shard, "cell": j.Spec.Framework + "/" + j.Spec.Dataset,
 		})
-		start := time.Now()
 		exec := j.tracer.Span(SpanExec, "server")
 		ctx, cancel := context.WithTimeout(s.hardCtx, timeout)
 		res, err := s.runAttempt(ctx, shard, j)
 		cancel()
-		exec.End()
-		attemptDur := time.Since(start)
+		attemptDur := exec.End()
 		j.addExec(attemptDur)
 		s.hExec.Observe(attemptDur)
 		if err == nil {
-			s.observeJobSeconds(attemptDur.Seconds())
 			s.reportJob(j, res, nil, StateCompleted)
 			s.cCompleted.Inc()
 			return
@@ -107,7 +104,7 @@ func (s *Server) runJob(shard int, j *Job) {
 		}
 		if s.retryable(err) && j.attempt() < 1+s.cfg.JobRetries {
 			s.cRetries.Inc()
-			delay := resilience.JitteredBackoff(j.attempt()-1, s.cfg.RetryBase, s.cfg.RetryMax)
+			delay := resilience.JitteredBackoff(j.attempt()-1, retryBase, retryMax)
 			j.tracer.Emit("job.retry", map[string]any{"id": j.ID, "attempt": j.attempt(), "delay_ms": delay.Milliseconds(), "error": err.Error()})
 			j.requeue()
 			backoff := j.tracer.Span(SpanBackoff, "server")

@@ -5,7 +5,9 @@
 #   2. parse the printed address line to learn the binding,
 #   3. drive a small loadgen burst through it and require the accounting
 #      invariant (every submission completed/failed/explicitly rejected),
-#   4. SIGTERM the daemon and require a clean drain within the budget.
+#   4. run one inference job, render one `dlbench top` frame, and check
+#      the per-job trace/profile and the /metrics stage summaries,
+#   5. SIGTERM the daemon and require a clean drain within the budget.
 #
 # Exits non-zero on any violated step; `make serve-smoke` runs it and
 # `make check` folds it into the tier-1 gate.
@@ -102,6 +104,19 @@ if ! tail -n 1 "$events" | grep '"type":"job.done"' | grep -q '"state":"complete
 	exit 1
 fi
 echo "serve-smoke: inference summary OK ($jid)"
+
+# The live dashboard against the real daemon: `dlbench top` reads only
+# /status, so one frame must show the exec stage with the jobs run so far.
+echo "serve-smoke: dlbench top"
+topout="$bin/top.txt"
+"$bin/dlbench" top -addr "$addr" -n 1 >"$topout"
+execcount="$(awk '$1 == "exec" { print $NF }' "$topout")"
+if [ -z "$execcount" ] || [ "$execcount" -eq 0 ]; then
+	echo "serve-smoke: FAIL: dlbench top shows no exec stage row with a non-zero count" >&2
+	cat "$topout" >&2
+	exit 1
+fi
+echo "serve-smoke: top OK (exec count $execcount)"
 
 # Per-job observability: the completed job must serve a well-formed
 # Chrome trace (its span tree, including the execution span) and a
