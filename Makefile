@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race obs-overhead chaos infer-gate serve-smoke perfbench-check queue-386 microbench trace-demo clean
+.PHONY: check vet build test race kernels obs-overhead chaos infer-gate serve-smoke perfbench-check queue-386 microbench trace-demo clean
 
-check: vet build test race obs-overhead chaos infer-gate serve-smoke perfbench-check queue-386
+check: vet build test race kernels obs-overhead chaos infer-gate serve-smoke perfbench-check queue-386
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +34,17 @@ test:
 # `test` race pass above may serve cached results).
 race:
 	$(GO) test -race -count=1 -timeout 15m ./internal/tensor/... ./internal/nn/... ./internal/engine/... ./internal/server/...
+
+# Differential kernel tests, run fresh: every float GEMM micro-kernel
+# the host runs (AVX-512, AVX2, portable) against the scalar reference in
+# gemm_ref_test.go — bit-identical on finite inputs, Inf/NaN in the same
+# positions — plus worker-count independence, the lowering fast paths
+# and the Conv2D/Dense layers. The second run builds with -tags noasm,
+# which leaves the amd64 assembly out, so the portable kernel is the only
+# path and must pass on its own.
+kernels:
+	$(GO) test -count=1 -run 'Kernel|Workers|Lowering|LayersMatch|GemmInt8' ./internal/tensor/
+	$(GO) test -count=1 -tags noasm -run 'Kernel|Workers|Lowering|LayersMatch|GemmInt8' ./internal/tensor/
 
 # The acceptance guard from internal/obs: the nil-tracer fast path must
 # stay under 2% of a training iteration, and the disabled-primitive

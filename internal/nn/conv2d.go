@@ -205,14 +205,14 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	// error slot for the workers to race on — the old firstErr data race
 	// is gone structurally.
 	tensor.ParallelFor(n, func(lo, hi int) {
-		// Per-worker im2row scratch from the arena; every element is
-		// written by Im2Row (including padding zeros) before the GEMM
-		// reads it. The row layout makes both GEMM operands contiguous
-		// along the reduction, so GemmTransB runs its register tile with
-		// no panel packing at all.
-		rows := tensor.GetUninit(planeOut, kVol)
-		defer tensor.Put(rows)
-		rd := rows.Data()
+		// Per-worker im2col scratch from the arena; every element is
+		// written by Im2Col (including padding zeros) before the GEMM
+		// reads it. The column matrix is the GEMM's k-major B operand.
+		// GemmWholeK, not Gemm: the forward GEMM reduces the whole k
+		// extent per output, GemmTransB's rounding, with no kc panels.
+		cols := tensor.GetUninit(kVol, planeOut)
+		defer tensor.Put(cols)
+		cd := cols.Data()
 		var dst []float64
 		// Bias (and, when fused, ReLU) runs as a GEMM epilogue over each
 		// completed block of output rows while the tile is cache-hot,
@@ -237,9 +237,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 			}
 		}
 		for i := lo; i < hi; i++ {
-			tensor.Im2Row(rd, xd[i*imgLen:(i+1)*imgLen], g)
+			tensor.Im2Col(cd, xd[i*imgLen:(i+1)*imgLen], g)
 			dst = od[i*outLen : (i+1)*outLen]
-			tensor.GemmTransB(dst, w, rd, g.OutC, kVol, planeOut, false, epi)
+			tensor.GemmWholeK(dst, w, cd, g.OutC, kVol, planeOut, false, epi)
 		}
 	})
 	c.lastInput = x
@@ -275,17 +275,6 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	partB := make([]*tensor.Tensor, shards)
 	xd, god := c.lastInput.Data(), gradOut.Data()
 	w := c.weight.Value.Data()
-	// W is constant across the batch, so its transpose — which the dcol
-	// GEMM walks by rows — is built once here instead of once per sample
-	// inside GemmTransA.
-	wT := tensor.GetUninit(kVol, g.OutC)
-	wtd := wT.Data()
-	for oc := 0; oc < g.OutC; oc++ {
-		row := w[oc*kVol : (oc+1)*kVol]
-		for p, v := range row {
-			wtd[p*g.OutC+oc] = v
-		}
-	}
 	tensor.ParallelShards(n, shards, func(s, lo, hi int) {
 		dw := tensor.Get(g.OutC, kVol)
 		db := tensor.Get(g.OutC)
@@ -311,14 +300,13 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 				dbd[oc] += sum
 			}
 			// dX = col2im(Wᵀ · gradSample), overwriting the column
-			// scratch in place.
-			tensor.Gemm(cd, wtd, gs, kVol, g.OutC, planeOut, false)
+			// scratch in place; GemmTransA reads W as the stored Wᵀ.
+			tensor.GemmTransA(cd, w, gs, kVol, g.OutC, planeOut)
 			tensor.Col2Im(gradIn.Data()[i*imgLen:(i+1)*imgLen], cd, g)
 		}
 		tensor.Put(col)
 		partW[s], partB[s] = dw, db
 	})
-	tensor.Put(wT)
 	for s := range partW {
 		pw, pb := partW[s], partB[s]
 		if pw == nil {

@@ -255,6 +255,10 @@ type QuantConv2D struct {
 
 	xq     []int8
 	outBuf *tensor.Tensor
+	// rows and acc are the lowering and accumulator scratch, kept across
+	// calls for the batches one worker runs whole (batch 1 in serving).
+	rows []int8
+	acc  []int32
 }
 
 func newQuantConv2D(c *Conv2D) *QuantConv2D {
@@ -278,6 +282,8 @@ func (c *QuantConv2D) WeightScale() float64 { return c.wp.Scale }
 func (c *QuantConv2D) ReleaseBuffers() {
 	c.xq = nil
 	c.outBuf = nil
+	c.rows = nil
+	c.acc = nil
 }
 
 func (c *QuantConv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -310,9 +316,16 @@ func (c *QuantConv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	bias := c.bias
 	wq := c.wq
 	xq := c.xq
+	if len(c.rows) != planeOut*kVol {
+		c.rows = make([]int8, planeOut*kVol)
+		c.acc = make([]int32, g.OutC*planeOut)
+	}
 	tensor.ParallelFor(n, func(lo, hi int) {
-		rows := make([]int8, planeOut*kVol)
-		acc := make([]int32, g.OutC*planeOut)
+		rows, acc := c.rows, c.acc
+		if hi-lo < n { // one of several concurrent chunks
+			rows = make([]int8, planeOut*kVol)
+			acc = make([]int32, g.OutC*planeOut)
+		}
 		for i := lo; i < hi; i++ {
 			tensor.Im2RowInt8(rows, xq[i*imgLen:(i+1)*imgLen], g)
 			tensor.GemmInt8TransB(acc, wq, rows, g.OutC, kVol, planeOut)

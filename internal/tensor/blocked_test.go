@@ -120,7 +120,7 @@ func TestGemmEpilogueSeesFinishedRows(t *testing.T) {
 	}
 }
 
-// TestGemmTransBAccumulateAndTile: the 4×2 register tile and its ragged
+// TestGemmTransBAccumulateAndTile: the tile outputs and their ragged
 // edges agree with the naive transposed product, in both overwrite and
 // accumulate modes.
 func TestGemmTransBAccumulateAndTile(t *testing.T) {

@@ -40,6 +40,8 @@ func (g ConvGeom) Validate() error {
 // single GEMM: weights(outC × C*KH*KW) · cols = output(outC × OutH*OutW).
 //
 // col must have length C*KH*KW*OutH*OutW. Padding positions contribute 0.
+// With horizontal stride 1 each output row is one contiguous run of the
+// input row between zero margins, copied whole.
 func Im2Col(col, img []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	colIdx := 0
@@ -47,29 +49,38 @@ func Im2Col(col, img []float64, g ConvGeom) {
 		plane := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
+				lo, hi := g.validCols(kw, outW)
 				for oy := 0; oy < outH; oy++ {
+					dst := col[colIdx : colIdx+outW]
+					colIdx += outW
 					iy := oy*g.StrideH - g.PadH + kh
 					if iy < 0 || iy >= g.InH {
-						for ox := 0; ox < outW; ox++ {
-							col[colIdx] = 0
-							colIdx++
-						}
+						clear(dst)
 						continue
 					}
-					rowBase := iy * g.InW
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix < 0 || ix >= g.InW {
-							col[colIdx] = 0
-						} else {
-							col[colIdx] = plane[rowBase+ix]
-						}
-						colIdx++
+					src := plane[iy*g.InW : (iy+1)*g.InW]
+					clear(dst[:lo])
+					clear(dst[hi:])
+					if g.StrideW == 1 && lo < hi {
+						copy(dst[lo:hi], src[lo-g.PadW+kw:])
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						dst[ox] = src[ox*g.StrideW-g.PadW+kw]
 					}
 				}
 			}
 		}
 	}
+}
+
+// validCols returns the output columns [lo, hi) whose input column
+// ox*StrideW - PadW + kw lies inside the image.
+func (g ConvGeom) validCols(kw, outW int) (lo, hi int) {
+	s, off := g.StrideW, g.PadW-kw // ix = ox*s - off
+	lo = min(max((off+s-1)/s, 0), outW)
+	hi = min(max((g.InW+off+s-1)/s, lo), outW)
+	return lo, hi
 }
 
 // Im2Row lowers one image into the transpose of Im2Col's layout: a matrix
@@ -115,7 +126,9 @@ func Im2Row(row, img []float64, g ConvGeom) {
 
 // Col2Im is the adjoint of Im2Col: it scatters (accumulates) a column
 // matrix back into an image gradient. img must be zeroed by the caller if
-// fresh accumulation is desired.
+// fresh accumulation is desired. Every pixel receives its terms in the
+// same order whatever the stride; with stride 1 each output row's valid
+// run is added to the input row in one pass.
 func Col2Im(img, col []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	colIdx := 0
@@ -123,19 +136,26 @@ func Col2Im(img, col []float64, g ConvGeom) {
 		plane := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
+				lo, hi := g.validCols(kw, outW)
 				for oy := 0; oy < outH; oy++ {
+					src := col[colIdx : colIdx+outW]
+					colIdx += outW
 					iy := oy*g.StrideH - g.PadH + kh
 					if iy < 0 || iy >= g.InH {
-						colIdx += outW
 						continue
 					}
-					rowBase := iy * g.InW
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix >= 0 && ix < g.InW {
-							plane[rowBase+ix] += col[colIdx]
+					dst := plane[iy*g.InW : (iy+1)*g.InW]
+					if g.StrideW == 1 && lo < hi {
+						d := dst[lo-g.PadW+kw:]
+						s := src[lo:hi]
+						d = d[:len(s)]
+						for x := 0; x < len(s); x++ {
+							d[x] += s[x]
 						}
-						colIdx++
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						dst[ox*g.StrideW-g.PadW+kw] += src[ox]
 					}
 				}
 			}

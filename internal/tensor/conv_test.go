@@ -239,3 +239,114 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// Element-at-a-time lowerings: the definitions Im2Col, Im2RowInt8 and
+// Col2Im must reproduce exactly.
+func naiveIm2Col(col, img []float64, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	i := 0
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						iy, ix := oy*g.StrideH-g.PadH+kh, ox*g.StrideW-g.PadW+kw
+						col[i] = 0
+						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+							col[i] = img[(c*g.InH+iy)*g.InW+ix]
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+}
+
+func naiveIm2Row(row, img []float64, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	kVol := g.InC * g.KH * g.KW
+	col := make([]float64, kVol*outH*outW)
+	naiveIm2Col(col, img, g)
+	for p := 0; p < kVol; p++ {
+		for j := 0; j < outH*outW; j++ {
+			row[j*kVol+p] = col[p*outH*outW+j]
+		}
+	}
+}
+
+func naiveCol2Im(img, col []float64, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	i := 0
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						iy, ix := oy*g.StrideH-g.PadH+kh, ox*g.StrideW-g.PadW+kw
+						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+							img[(c*g.InH+iy)*g.InW+ix] += col[i]
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLoweringRunsMatchElementwise: Im2Col's and Col2Im's contiguous-run
+// fast paths and Im2RowInt8's row-at-a-time order produce the
+// element-at-a-time results exactly, over strides, paddings (including
+// padding wider than the kernel reach) and kernels wider than the image.
+func TestLoweringRunsMatchElementwise(t *testing.T) {
+	rng := NewRNG(21)
+	for trial := 0; trial < 300; trial++ {
+		g := ConvGeom{
+			InC: 1 + rng.Intn(3), InH: 1 + rng.Intn(9), InW: 1 + rng.Intn(9),
+			KH: 1 + rng.Intn(5), KW: 1 + rng.Intn(5),
+			StrideH: 1 + rng.Intn(3), StrideW: 1 + rng.Intn(3),
+			PadH: rng.Intn(4), PadW: rng.Intn(4),
+		}
+		if trial%2 == 0 {
+			g.StrideH, g.StrideW = 1, 1
+		}
+		if g.Validate() != nil {
+			continue
+		}
+		img := diffValues(rng, g.InC*g.InH*g.InW)
+		n := g.InC * g.KH * g.KW * g.OutH() * g.OutW()
+		got, want := diffValues(rng, n), make([]float64, n)
+		Im2Col(got, img, g)
+		naiveIm2Col(want, img, g)
+		sameBits(t, "Im2Col", g, got, want)
+		img8 := make([]int8, len(img))
+		for i := range img8 {
+			img8[i] = int8(rng.Intn(255) - 127)
+			img[i] = float64(img8[i])
+		}
+		got8 := make([]int8, n)
+		Im2RowInt8(got8, img8, g)
+		naiveIm2Row(want, img, g)
+		for i, v := range got8 {
+			if float64(v) != want[i] {
+				t.Fatalf("Im2RowInt8 %+v: [%d] = %d, want %v", g, i, v, want[i])
+			}
+		}
+		col := diffValues(rng, n)
+		base := diffValues(rng, len(img))
+		gotImg, wantImg := append([]float64(nil), base...), append([]float64(nil), base...)
+		Col2Im(gotImg, col, g)
+		naiveCol2Im(wantImg, col, g)
+		sameBits(t, "Col2Im", g, gotImg, wantImg)
+	}
+}
+
+func sameBits(t *testing.T, what string, g ConvGeom, got, want []float64) {
+	t.Helper()
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s %+v: [%d] = %v, want %v", what, g, i, got[i], want[i])
+		}
+	}
+}

@@ -1,11 +1,21 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package tensor
 
-// hasAVX2FMA is always false without the amd64 assembly kernel.
-const hasAVX2FMA = false
+// Without the amd64 assembly (other architectures, or the noasm build
+// tag) only the portable kernel exists.
+const hasAVX2FMA, hasAVX512 = false, false
 
-// dotTile falls back to the portable scalar tile on non-amd64 hosts.
-func dotTile(a0, a1, a2, a3, b0, b1 []float64, acc *[8]float64) {
-	dotTileGeneric(a0, a1, a2, a3, b0, b1, acc)
+func bestGemmKernel() gemmKernel { return kernelPortable }
+
+func packStrip(gemmKernel, *float64, *float64, int, int, int) {
+	panic("tensor: no FMA tile kernel in this build")
+}
+
+func packStripT(gemmKernel, *float64, *float64, int, int, int) {
+	panic("tensor: no FMA tile kernel in this build")
+}
+
+func tileFMA(gemmKernel, *float64, *float64, *float64, *uint8, int, int, int, int, int, int, int, int, int, *float64, int) {
+	panic("tensor: no FMA tile kernel in this build")
 }

@@ -1,33 +1,60 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
-// gemmParallelThreshold is the minimum number of result rows before MatMul
-// fans work out to the worker pool; below it the dispatch overhead
+// The float GEMM kernels.
+//
+// Every float GEMM runs one driver over a register-blocked outer-product
+// micro-kernel (gemm_tile*.go): it broadcasts A one element at a time
+// against vectors along a row of a k-major B. Dispatch picks, once per
+// process by CPUID/XGETBV, the AVX-512F kernel (4 rows × 8 columns), the
+// AVX2+FMA kernel (3 rows × 4 columns) or, on other architectures and
+// under the noasm build tag, the portable Go kernel. Each output C(i,j)
+// is a fixed function of (i, j, m, k, n) and of whether the kernel is an
+// FMA one, never of the worker count, and gets one of three roundings
+// depending on where it sits:
+//
+//   - Tile outputs — rows below m&^3 and columns below the panel width
+//     rounded down to even. With an FMA kernel and at least 8 terms they
+//     keep four phase accumulators: phase q FMA-accumulates the terms
+//     p ≡ q (mod 4) in ascending order, the phases finish as
+//     ((P0+P2)+(P1+P3)), and the k%4 tail is added as an unfused chain
+//     (so a -0 phase sum becomes +0). Shorter reductions, and every tile
+//     output on the portable kernel, are one unfused chain. Both drop the
+//     terms whose aligned 4-row group of A is all zero.
+//   - The last column of an odd-width panel and the m%4 remainder rows:
+//     one unfused chain from +0.
+//   - Gemm with fewer than 4 rows or fewer than 16 terms: one unfused
+//     chain per output that starts from C (or +0) and skips zero A
+//     values (the axpy path).
+//
+// Gemm, GemmEpilogue and GemmTransA reduce k in kc=128 panels over
+// nc=512 column panels and add each panel's value to C in order;
+// GemmTransB and GemmWholeK reduce the whole k at once. The AVX-512 and
+// AVX2 kernels round identically. The rules are inherited: they
+// reproduce bit for bit the 4×2 dot-product tile whose four SIMD lanes
+// were the phases, so trained results stay comparable across releases
+// (core's TestTrainingNumericsGolden pins them). gemm_ref_test.go
+// restates them as a scalar reference.
+
+// gemmParallelThreshold is the minimum number of result rows before a
+// GEMM fans work out to the worker pool; below it the dispatch overhead
 // dominates.
 const gemmParallelThreshold = 16
 
-// Cache-blocking parameters for the GEMM kernels. Each kc×nc panel of B
-// is packed transposed (column-major) into a scratch buffer so the
-// micro-kernel reduces to contiguous dot products held in registers — a
-// 4×2 tile of C accumulated over the packed panel with no loads or
-// stores of C inside the k loop. The hot working set per tile is
-//
-//	packed B panel: kc·nc·8  = 128·512·8 ≈ 512 KiB  (L2-resident)
-//	A block:         4·kc·8  =   4·128·8 ≈   4 KiB  (L1-resident)
-//
-// Accumulation order is fixed by (m, k, n) alone — per-element partial
-// sums are added to C in ascending kc-panel order — so results are
-// deterministic across runs and identical for every executor style,
-// though not bit-equal to a naive single-chain kernel. On amd64 hosts
-// with AVX2+FMA the tile reduction additionally runs in 256-bit
-// fused-multiply-add lanes (gemm_tile_amd64.s) with a fixed reduction
-// order: still deterministic on a given host, but rounded differently
-// than the portable scalar tile used elsewhere.
+// Panel sizes of Gemm's reduction (see above). They fix the rounding;
+// the micro-kernel's strip packing and k blocks do not show in results.
 const (
-	gemmBlockK = 128 // kc: rows of the B panel packed per tile
-	gemmBlockN = 512 // nc: columns of the B panel packed per tile
+	gemmBlockK = 128 // kc: terms per reduction panel
+	gemmBlockN = 512 // nc: columns per panel
 )
+
+// gemmPackElems bounds the transposed B panel GemmTransB builds for the
+// portable kernel (256 KiB, so it stays in L2).
+const gemmPackElems = 1 << 15
 
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), writing the
 // m×n result into dst (which must be pre-shaped m×n). Work is spread over
@@ -113,284 +140,228 @@ func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 // MatMulEpilogue. epi runs on the worker that produced the rows, right
 // after they are complete.
 func GemmEpilogue(c, a, b []float64, m, k, n int, accumulate bool, epi func(lo, hi int)) {
-	parallelRows(m, func(lo, hi int) {
-		gemmBlocked(c, a, b, lo, hi, k, n, accumulate)
+	checkGemm(c, a, b, m*n, m*k, k*n)
+	g := gemmArgs{c: c, n: n, a: a, ars: k, aks: 1, m: m, k: k}
+	gemmRows(m, func(lo, hi int) {
+		g.paneled(lo, hi, b, accumulate)
 		if epi != nil {
 			epi(lo, hi)
 		}
 	})
-}
-
-// gemmBlocked is the cache-blocked inner kernel for destination rows
-// [lo, hi). Loop order: nc panel → kc panel → pack → register tile.
-//
-// Each kc×nc panel of B is first packed transposed into arena scratch
-// (panel column j becomes a contiguous run of kcur values), turning the
-// inner product into the same contiguous-dot-product shape GemmTransB
-// uses: a 4×2 tile of C lives in eight registers across the whole packed
-// panel, with six loads and sixteen flops per k step and no C traffic
-// inside the loop. The all-zero A skip (masked SpatialConvolutionMap
-// weights zero whole kernel-sized runs of k) is kept from the old kernel.
-func gemmBlocked(c, a, b []float64, lo, hi, k, n int, accumulate bool) {
-	// Shapes that cannot amortize the panel pack — fewer destination rows
-	// than one register tile, or a reduction shorter than a couple of
-	// vector strides (per-sample module dispatch, k=1 outer products in
-	// Dense backward) — run the direct streaming kernel instead.
-	if hi-lo < 4 || k < 16 {
-		gemmSimple(c, a, b, lo, hi, k, n, accumulate)
-		return
-	}
-	if !accumulate {
-		for i := lo; i < hi; i++ {
-			row := c[i*n : i*n+n]
-			for j := range row {
-				row[j] = 0
-			}
-		}
-	}
-	scratch := GetUninit(min(gemmBlockK, k), min(gemmBlockN, n))
-	defer Put(scratch)
-	pk := scratch.Data()
-	for jc := 0; jc < n; jc += gemmBlockN {
-		jend := min(jc+gemmBlockN, n)
-		ncols := jend - jc
-		for pc := 0; pc < k; pc += gemmBlockK {
-			pend := min(pc+gemmBlockK, k)
-			kcur := pend - pc
-			// Pack the kc×nc panel transposed: pk[j][p] = b[pc+p][jc+j].
-			// Reads are contiguous along B rows; each row scatters into
-			// the packed columns.
-			for p := 0; p < kcur; p++ {
-				brow := b[(pc+p)*n+jc : (pc+p)*n+jend]
-				for j, v := range brow {
-					pk[j*kcur+p] = v
-				}
-			}
-			i := lo
-			for ; i+4 <= hi; i += 4 {
-				a0 := a[i*k+pc : i*k+pend]
-				a1 := a[(i+1)*k+pc : (i+1)*k+pend]
-				a2 := a[(i+2)*k+pc : (i+2)*k+pend]
-				a3 := a[(i+3)*k+pc : (i+3)*k+pend]
-				c0 := c[i*n : i*n+n]
-				c1 := c[(i+1)*n : (i+1)*n+n]
-				c2 := c[(i+2)*n : (i+2)*n+n]
-				c3 := c[(i+3)*n : (i+3)*n+n]
-				j := 0
-				for ; j+2 <= ncols; j += 2 {
-					b0 := pk[j*kcur : j*kcur+kcur]
-					b1 := pk[(j+1)*kcur : (j+1)*kcur+kcur]
-					var acc [8]float64
-					dotTile(a0, a1, a2, a3, b0, b1, &acc)
-					c0[jc+j] += acc[0]
-					c0[jc+j+1] += acc[1]
-					c1[jc+j] += acc[2]
-					c1[jc+j+1] += acc[3]
-					c2[jc+j] += acc[4]
-					c2[jc+j+1] += acc[5]
-					c3[jc+j] += acc[6]
-					c3[jc+j+1] += acc[7]
-				}
-				for ; j < ncols; j++ {
-					b0 := pk[j*kcur : j*kcur+kcur]
-					var s0, s1, s2, s3 float64
-					for p, bv := range b0 {
-						s0 += a0[p] * bv
-						s1 += a1[p] * bv
-						s2 += a2[p] * bv
-						s3 += a3[p] * bv
-					}
-					c0[jc+j] += s0
-					c1[jc+j] += s1
-					c2[jc+j] += s2
-					c3[jc+j] += s3
-				}
-			}
-			for ; i < hi; i++ {
-				arow := a[i*k+pc : i*k+pend]
-				crow := c[i*n : i*n+n]
-				j := 0
-				for ; j+4 <= ncols; j += 4 {
-					b0 := pk[j*kcur : j*kcur+kcur]
-					b1 := pk[(j+1)*kcur : (j+1)*kcur+kcur]
-					b2 := pk[(j+2)*kcur : (j+2)*kcur+kcur]
-					b3 := pk[(j+3)*kcur : (j+3)*kcur+kcur]
-					var s0, s1, s2, s3 float64
-					for p, av := range arow {
-						if av == 0 {
-							continue
-						}
-						s0 += av * b0[p]
-						s1 += av * b1[p]
-						s2 += av * b2[p]
-						s3 += av * b3[p]
-					}
-					crow[jc+j] += s0
-					crow[jc+j+1] += s1
-					crow[jc+j+2] += s2
-					crow[jc+j+3] += s3
-				}
-				for ; j < ncols; j++ {
-					b0 := pk[j*kcur : j*kcur+kcur]
-					s := 0.0
-					for p, bv := range b0 {
-						s += arow[p] * bv
-					}
-					crow[jc+j] += s
-				}
-			}
-		}
-	}
-}
-
-// gemmSimple is the unblocked ikj kernel: each A element scales a
-// contiguous B row into the C row (axpy). No scratch, no packing — the
-// right shape for tiny m or tiny k where the blocked kernel's panel setup
-// costs more than the flops it accelerates.
-func gemmSimple(c, a, b []float64, lo, hi, k, n int, accumulate bool) {
-	for i := lo; i < hi; i++ {
-		crow := c[i*n : i*n+n]
-		if !accumulate {
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-		arow := a[i*k : i*k+k]
-		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : p*n+n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
 }
 
 // GemmTransA computes C = Aᵀ·B over flat slices where A is k×m, B is k×n
-// and C is m×n: dst[i][j] = Σ_p a[p][i]·b[p][j].
-//
-// Rather than walking A's columns with stride-m loads, the kernel
-// transposes A once into arena scratch (k·m elements — for the layers
-// that call this, k is a reduced dimension like OutC or the batch size,
-// so the copy is a fraction of the 2·m·k·n flops it unlocks) and runs
-// the packed blocked kernel on the contiguous result.
+// and C is m×n: dst[i][j] = Σ_p a[p][i]·b[p][j]. The micro-kernel
+// broadcasts A one element at a time, so it reads the stored Aᵀ in place
+// with Gemm's rounding.
 func GemmTransA(c, a, b []float64, m, k, n int) {
-	if m <= 0 || n <= 0 {
-		return
-	}
-	at := GetUninit(m, k)
-	atd := at.Data()
-	for p := 0; p < k; p++ {
-		row := a[p*m : p*m+m]
-		for i, v := range row {
-			atd[i*k+p] = v
+	checkGemm(c, a, b, m*n, k*m, k*n)
+	g := gemmArgs{c: c, n: n, a: a, ars: 1, aks: m, m: m, k: k}
+	gemmRows(m, func(lo, hi int) { g.paneled(lo, hi, b, false) })
+}
+
+// GemmWholeK computes C (+)= A·B like Gemm (A m×k, B k×n, both
+// row-major) but with GemmTransB's rounding: each output reduces the
+// whole k extent at once instead of in kc panels, so GemmWholeK(c, a, b)
+// equals GemmTransB(c, a, bᵀ) bit for bit while reading B in place. epi
+// runs per completed row block, as in GemmEpilogue.
+func GemmWholeK(c, a, b []float64, m, k, n int, accumulate bool, epi func(lo, hi int)) {
+	checkGemm(c, a, b, m*n, m*k, k*n)
+	g := gemmArgs{c: c, n: n, a: a, ars: k, aks: 1, m: m, k: k}
+	gemmRows(m, func(lo, hi int) {
+		g.block(lo, hi, 0, n, 0, k, b, n, accumulate, false)
+		if epi != nil {
+			epi(lo, hi)
 		}
-	}
-	Gemm(c, atd, b, m, k, n, false)
-	Put(at)
+	})
 }
 
 // GemmTransB computes C (+)= A·Bᵀ over flat slices where A is m×k, B is
-// n×k and C is m×n. Both operands are traversed along contiguous k-rows,
-// so instead of cache panels the kernel uses the shared 4×2 dot-product
-// tile (AVX2+FMA on capable amd64 hosts): four A rows against two B rows,
-// eight accumulators living in registers across the whole k extent. epi,
-// when non-nil, runs per completed row block while C is cache-hot.
+// n×k and C is m×n, reducing the whole k extent per output. The tile
+// rows transpose each column strip of B into the micro-kernel's packed
+// buffer; the m%4 remainder rows and the last column of an odd n are dot
+// products along B's contiguous rows, so a batch-1 call reads B once and
+// packs nothing. epi, when non-nil, runs per completed row block while C
+// is cache-hot.
 func GemmTransB(c, a, b []float64, m, k, n int, accumulate bool, epi func(lo, hi int)) {
-	parallelRows(m, func(lo, hi int) {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			a0 := a[i*k : i*k+k]
-			a1 := a[(i+1)*k : (i+1)*k+k]
-			a2 := a[(i+2)*k : (i+2)*k+k]
-			a3 := a[(i+3)*k : (i+3)*k+k]
-			d0 := c[i*n : i*n+n]
-			d1 := c[(i+1)*n : (i+1)*n+n]
-			d2 := c[(i+2)*n : (i+2)*n+n]
-			d3 := c[(i+3)*n : (i+3)*n+n]
-			j := 0
-			for ; j+2 <= n; j += 2 {
-				b0 := b[j*k : j*k+k]
-				b1 := b[(j+1)*k : (j+1)*k+k]
-				var acc [8]float64
-				dotTile(a0, a1, a2, a3, b0, b1, &acc)
-				if accumulate {
-					d0[j] += acc[0]
-					d0[j+1] += acc[1]
-					d1[j] += acc[2]
-					d1[j+1] += acc[3]
-					d2[j] += acc[4]
-					d2[j+1] += acc[5]
-					d3[j] += acc[6]
-					d3[j+1] += acc[7]
-				} else {
-					d0[j], d0[j+1] = acc[0], acc[1]
-					d1[j], d1[j+1] = acc[2], acc[3]
-					d2[j], d2[j+1] = acc[4], acc[5]
-					d3[j], d3[j+1] = acc[6], acc[7]
+	checkGemm(c, a, b, m*n, m*k, n*k)
+	g := gemmArgs{c: c, n: n, a: a, ars: k, aks: 1, m: m, k: k}
+	m4, n2 := m&^3, n&^1
+	gemmRows(m, func(lo, hi int) {
+		if t1 := min(hi, m4); lo < t1 && n2 > 0 {
+			if gemmKern != kernelPortable && k >= 8 {
+				g.tile(lo, t1, 0, n2, 0, k, b, k, accumulate, true)
+			} else {
+				// The chains read B k-major: transpose it a panel at a time.
+				w := min(n2, max(1, gemmPackElems/max(k, 1)))
+				panel := GetUninit(max(k, 1), w)
+				pk := panel.Data()
+				for jc := 0; jc < n2; jc += w {
+					wc := min(w, n2-jc)
+					packTransposed(pk[:k*wc], b[jc*k:(jc+wc)*k], k, wc)
+					g.tile(lo, t1, jc, jc+wc, 0, k, pk, wc, accumulate, false)
 				}
-			}
-			for ; j < n; j++ {
-				brow := b[j*k : j*k+k]
-				var s0, s1, s2, s3 float64
-				for p, bv := range brow {
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-					s2 += a2[p] * bv
-					s3 += a3[p] * bv
-				}
-				if accumulate {
-					d0[j] += s0
-					d1[j] += s1
-					d2[j] += s2
-					d3[j] += s3
-				} else {
-					d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
-				}
+				Put(panel)
 			}
 		}
-		for ; i < hi; i++ {
-			arow := a[i*k : i*k+k]
-			drow := c[i*n : i*n+n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				b0 := b[j*k : j*k+k]
-				b1 := b[(j+1)*k : (j+1)*k+k]
-				b2 := b[(j+2)*k : (j+2)*k+k]
-				b3 := b[(j+3)*k : (j+3)*k+k]
-				var s0, s1, s2, s3 float64
-				for p, av := range arow {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-				if accumulate {
-					drow[j] += s0
-					drow[j+1] += s1
-					drow[j+2] += s2
-					drow[j+3] += s3
-				} else {
-					drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-				}
-			}
-			for ; j < n; j++ {
-				brow := b[j*k : j*k+k]
-				s := 0.0
-				for p, av := range arow {
-					s += av * brow[p]
-				}
-				if accumulate {
-					drow[j] += s
-				} else {
-					drow[j] = s
-				}
-			}
+		if t1 := min(hi, m4); lo < t1 && n2 < n {
+			dotColumn(c, a, b[n2*k:], lo, t1, k, n, n2, accumulate)
+		}
+		for i := max(lo, m4); i < hi; i++ {
+			dotRow(c[i*n:i*n+n], a[i*k:i*k+k], b, k, accumulate)
 		}
 		if epi != nil {
 			epi(lo, hi)
 		}
 	})
+}
+
+// checkGemm panics unless the flat operands hold their shapes: the
+// assembly kernels do not bounds-check, so a short slice must fail here
+// (where the executors' recover guards turn it into an error) instead of
+// reading or writing past it.
+func checkGemm(c, a, b []float64, cn, an, bn int) {
+	if len(c) < cn || len(a) < an || len(b) < bn {
+		panic(fmt.Sprintf("tensor: GEMM operands too short: len(c)=%d<%d, len(a)=%d<%d or len(b)=%d<%d",
+			len(c), cn, len(a), an, len(b), bn))
+	}
+}
+
+// gemmRows is parallelRows for the GEMM drivers, with chunks cut at
+// multiples of 4 rows so every 4-row tile group is computed whole by one
+// micro-kernel call. The driver's arithmetic already depends only on
+// each output's position; the alignment keeps the tile kernels' row
+// blocks inside those groups.
+func gemmRows(m int, body func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if m < gemmParallelThreshold || workers <= 1 {
+		body(0, m)
+		return
+	}
+	parallelChunks((m+3)/4, workers, func(_, lo, hi int) { body(4*lo, min(4*hi, m)) })
+}
+
+// paneled runs Gemm's rounding for rows [lo, hi): the axpy path for
+// small shapes, otherwise kc-term panels over nc-column panels, each
+// panel's value added to C in order (the first one stored when not
+// accumulating: +0 + v = v, as v is never -0).
+func (g *gemmArgs) paneled(lo, hi int, b []float64, accumulate bool) {
+	if g.m < 4 || g.k < 16 {
+		g.axpy(lo, hi, b, accumulate)
+		return
+	}
+	for jc := 0; jc < g.n; jc += gemmBlockN {
+		jend := min(jc+gemmBlockN, g.n)
+		for pc := 0; pc < g.k; pc += gemmBlockK {
+			pend := min(pc+gemmBlockK, g.k)
+			g.block(lo, hi, jc, jend, pc, pend, b[pc*g.n+jc:], g.n, accumulate || pc > 0, true)
+		}
+	}
+}
+
+// block computes rows [lo, hi) (lo a multiple of 4) of the column panel
+// [j0, j1) over terms [p0, p1), b starting at B(p0, j0): the tile
+// outputs, the odd panel's last column, and the remainder rows. Gemm's
+// remainder rows (paneled) skip zero A values over the panel's 4-column
+// groups; like every zero skip, that decides where an Inf in B turns an
+// output into NaN, so it is part of the rounding contract.
+func (g *gemmArgs) block(lo, hi, j0, j1, p0, p1 int, b []float64, ldb int, add, paneled bool) {
+	m4, w := g.m&^3, j1-j0
+	if t1 := min(hi, m4); lo < t1 {
+		if w2 := w &^ 1; w2 > 0 {
+			g.tile(lo, t1, j0, j0+w2, p0, p1, b, ldb, add, false)
+		}
+		if w&1 != 0 {
+			g.chains(lo, t1, j1-1, j1, p0, p1, b[w-1:], ldb, skipNone, add)
+		}
+	}
+	if r0 := max(lo, m4); r0 < hi {
+		w4 := 0
+		if paneled {
+			w4 = w &^ 3
+			g.chains(r0, hi, j0, j0+w4, p0, p1, b, ldb, skipZero, add)
+		}
+		g.chains(r0, hi, j0+w4, j1, p0, p1, b[w4:], ldb, skipNone, add)
+	}
+}
+
+// packTransposed writes the n×k row-major src into dst as k×n.
+func packTransposed(dst, src []float64, k, n int) {
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		r0, r1, r2, r3 := src[j*k:j*k+k], src[(j+1)*k:(j+1)*k+k], src[(j+2)*k:(j+2)*k+k], src[(j+3)*k:(j+3)*k+k]
+		for p, v := range r0 {
+			d := dst[p*n+j : p*n+j+4]
+			d[0], d[1], d[2], d[3] = v, r1[p], r2[p], r3[p]
+		}
+	}
+	for ; j < n; j++ {
+		for p, v := range src[j*k : j*k+k] {
+			dst[p*n+j] = v
+		}
+	}
+}
+
+// dotColumn computes GemmTransB's last column j of tile rows [r0, r1)
+// (4-aligned) as unfused chains, four rows at a time; brow is B's row j.
+func dotColumn(c, a, brow []float64, r0, r1, k, n, j int, accumulate bool) {
+	brow = brow[:k]
+	for i := r0; i < r1; i += 4 {
+		a0, a1, a2, a3 := a[i*k:i*k+k], a[(i+1)*k:(i+1)*k+k], a[(i+2)*k:(i+2)*k+k], a[(i+3)*k:(i+3)*k+k]
+		var s0, s1, s2, s3 float64
+		for p, bv := range brow {
+			s0 += float64(a0[p] * bv)
+			s1 += float64(a1[p] * bv)
+			s2 += float64(a2[p] * bv)
+			s3 += float64(a3[p] * bv)
+		}
+		for r, s := range [4]float64{s0, s1, s2, s3} {
+			if accumulate {
+				c[(i+r)*n+j] += s
+			} else {
+				c[(i+r)*n+j] = s
+			}
+		}
+	}
+}
+
+// dotRow computes one GemmTransB remainder row: every output an unfused
+// chain along A's row and B's row, four columns at a time.
+func dotRow(crow, arow, b []float64, k int, accumulate bool) {
+	n := len(crow)
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		b0, b1, b2, b3 := b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k], b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k]
+		var s0, s1, s2, s3 float64
+		for p, av := range arow {
+			s0 += float64(av * b0[p])
+			s1 += float64(av * b1[p])
+			s2 += float64(av * b2[p])
+			s3 += float64(av * b3[p])
+		}
+		store4(crow[j:j+4], s0, s1, s2, s3, accumulate)
+	}
+	for ; j < n; j++ {
+		brow := b[j*k : j*k+k]
+		s := 0.0
+		for p, av := range arow {
+			s += float64(av * brow[p])
+		}
+		if accumulate {
+			crow[j] += s
+		} else {
+			crow[j] = s
+		}
+	}
+}
+
+func store4(c []float64, s0, s1, s2, s3 float64, add bool) {
+	if add {
+		c[0] += s0
+		c[1] += s1
+		c[2] += s2
+		c[3] += s3
+		return
+	}
+	c[0], c[1], c[2], c[3] = s0, s1, s2, s3
 }

@@ -117,29 +117,47 @@ func GemmInt8TransB(c []int32, a, b []int8, m, k, n int) {
 // is exact under symmetric quantization.
 func Im2RowInt8(row, img []int8, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
-	ri := 0
+	kVol := g.InC * g.KH * g.KW
+	// Output columns [oxLo, oxHi) read a whole kernel row inside the
+	// image; the loops run along an output row for one (c, kh), so each
+	// kernel row is a short copy between two stepping offsets.
+	oxLo, oxHi := min((g.PadW+g.StrideW-1)/g.StrideW, outW), 0
+	if last := g.InW + g.PadW - g.KW; last >= 0 { // else no kernel row fits
+		oxHi = min(last/g.StrideW+1, outW)
+	}
+	oxHi = max(oxHi, oxLo)
 	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			for c := 0; c < g.InC; c++ {
-				plane := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
-				for kh := 0; kh < g.KH; kh++ {
-					iy := oy*g.StrideH - g.PadH + kh
-					if iy < 0 || iy >= g.InH {
-						for kw := 0; kw < g.KW; kw++ {
-							row[ri] = 0
-							ri++
+		block := row[oy*outW*kVol : (oy+1)*outW*kVol]
+		for c := 0; c < g.InC; c++ {
+			plane := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+			for kh := 0; kh < g.KH; kh++ {
+				off := (c*g.KH + kh) * g.KW // this kernel row's place in a row
+				iy := oy*g.StrideH - g.PadH + kh
+				if iy < 0 || iy >= g.InH {
+					for ox := 0; ox < outW; ox++ {
+						dst := block[ox*kVol+off : ox*kVol+off+g.KW]
+						for kw := range dst {
+							dst[kw] = 0
+						}
+					}
+					continue
+				}
+				src := plane[iy*g.InW : (iy+1)*g.InW]
+				for ox := 0; ox < outW; ox++ {
+					dst := block[ox*kVol+off : ox*kVol+off+g.KW]
+					x0 := ox*g.StrideW - g.PadW
+					if ox >= oxLo && ox < oxHi {
+						run := src[x0 : x0+len(dst)]
+						for kw := range dst {
+							dst[kw] = run[kw]
 						}
 						continue
 					}
-					rowBase := iy * g.InW
-					for kw := 0; kw < g.KW; kw++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix < 0 || ix >= g.InW {
-							row[ri] = 0
-						} else {
-							row[ri] = plane[rowBase+ix]
+					for kw := range dst {
+						dst[kw] = 0
+						if ix := x0 + kw; ix >= 0 && ix < g.InW {
+							dst[kw] = src[ix]
 						}
-						ri++
 					}
 				}
 			}

@@ -1,3 +1,5 @@
+//go:build amd64 && !noasm
+
 #include "textflag.h"
 
 // func dotInt8Asm(a, b *int8, k int, acc *int32)
