@@ -141,6 +141,17 @@ func recoverPanic(style string, err *error) {
 	}
 }
 
+// backwardOp runs one layer's gradient op. For a layer that reads the
+// network input (input), nothing consumes ∂loss/∂input, so it accumulates
+// the parameter gradients alone (nn.BackwardParams) and returns nil. The
+// dispatch around it — hook, span, counter — is the same either way.
+func backwardOp(l nn.Layer, grad *tensor.Tensor, input bool) (*tensor.Tensor, error) {
+	if input {
+		return nil, nn.BackwardParams(l, grad)
+	}
+	return l.Backward(grad)
+}
+
 // predict is the shared argmax implementation.
 func predict(logits *tensor.Tensor) ([]int, error) {
 	if logits.Dims() != 2 {

@@ -240,7 +240,13 @@ func (g *GraphExecutor) SetOpHook(h OpHook) { g.hook = h }
 // a skip source (add node's pass-through vs the branch head's input
 // gradient) cannot perturb numerics relative to the monolithic
 // Residual.Backward.
+//
+// Nothing reads the graph input's gradient (slot 0), so contributions to
+// it are dropped; the layers fed by the input compute none (backwardOp).
 func (g *GraphExecutor) contribute(dst int, t *tensor.Tensor) {
+	if dst < 0 {
+		return
+	}
 	slot := dst + 1
 	prev := g.grads[slot]
 	if prev == nil {
@@ -323,10 +329,10 @@ func (g *GraphExecutor) TrainBatch(ctx context.Context, x *tensor.Tensor, labels
 		var gin *tensor.Tensor
 		if profiling {
 			sp := g.tr.Span(n.spanName, CatOp)
-			gin, err = n.layer.Backward(grad)
+			gin, err = backwardOp(n.layer, grad, n.deps[0] < 0)
 			sp.End()
 		} else {
-			gin, err = n.layer.Backward(grad)
+			gin, err = backwardOp(n.layer, grad, n.deps[0] < 0)
 		}
 		if err != nil {
 			bwd.End()

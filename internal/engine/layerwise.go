@@ -142,7 +142,8 @@ func (e *LayerwiseExecutor) forward(x *tensor.Tensor, train bool) (*tensor.Tenso
 	return cur, nil
 }
 
-// backward walks the chain in reverse, mirroring nn.Network.Backward.
+// backward walks the chain in reverse, mirroring nn.Network.TrainStep's
+// backward: layer 0 reads the network input and skips its input gradient.
 func (e *LayerwiseExecutor) backward(grad *tensor.Tensor) error {
 	layers := e.net.Layers()
 	cur := grad
@@ -157,10 +158,10 @@ func (e *LayerwiseExecutor) backward(grad *tensor.Tensor) error {
 		var err error
 		if profiling {
 			sp := e.tr.Span(e.opNames[i], CatOp)
-			prev, err = layers[i].Backward(cur)
+			prev, err = backwardOp(layers[i], cur, i == 0)
 			sp.End()
 		} else {
-			prev, err = layers[i].Backward(cur)
+			prev, err = backwardOp(layers[i], cur, i == 0)
 		}
 		if err != nil {
 			return fmt.Errorf("engine: layerwise backward %q: %w", layers[i].Name(), err)

@@ -21,6 +21,9 @@ type module struct {
 	layer    nn.Layer // nil for containers
 	spanName string   // profiling-mode per-op span name (leaves only)
 	children []*module
+	// input marks the first leaf, which reads the network input: its
+	// backward accumulates parameter gradients only.
+	input bool
 }
 
 // forward recursively dispatches through the tree, counting leaf and
@@ -71,7 +74,7 @@ func (m *module) backward(grad *tensor.Tensor, dispatches *int, hook OpHook, tr 
 		if tr != nil {
 			sp = tr.Span(m.spanName, CatOp)
 		}
-		g, err := m.layer.Backward(grad)
+		g, err := backwardOp(m.layer, grad, m.input)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("module %q: %w", m.name, err)
@@ -98,6 +101,19 @@ func (m *module) depth() int {
 		}
 	}
 	return best
+}
+
+// firstLeaf returns the first leaf in dispatch order, or nil.
+func (m *module) firstLeaf() *module {
+	if m.layer != nil {
+		return m
+	}
+	for _, c := range m.children {
+		if l := c.firstLeaf(); l != nil {
+			return l
+		}
+	}
+	return nil
 }
 
 // leaves counts leaf modules.
@@ -179,6 +195,9 @@ func NewModule(net *nn.Network, tr *obs.Tracer) (*ModuleExecutor, error) {
 			classifier.children = append(classifier.children, leaf(l))
 		}
 		root.children = append(root.children, features, classifier)
+	}
+	if first := root.firstLeaf(); first != nil {
+		first.input = true
 	}
 	return &ModuleExecutor{
 		net:       net,

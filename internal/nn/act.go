@@ -92,12 +92,17 @@ func (a *Activation) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	o, xd := out.Data(), x.Data()
 	switch a.kind {
 	case ReLU:
+		// The comparison picks an all-ones or a zero mask for the bits,
+		// which compiles to a conditional move rather than a jump, so
+		// random signs cost no mispredictions. NaN, ±0 and negatives
+		// map to +0.
+		o = o[:len(xd)]
 		for i, v := range xd {
+			m := uint64(0)
 			if v > 0 {
-				o[i] = v
-			} else {
-				o[i] = 0
+				m = ^uint64(0)
 			}
+			o[i] = math.Float64frombits(math.Float64bits(v) & m)
 		}
 	case Tanh:
 		for i, v := range xd {
@@ -138,13 +143,16 @@ func (a *Activation) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	g, gout := gradIn.Data(), gradOut.Data()
 	switch a.kind {
 	case ReLU:
-		x := a.lastInput.Data()
+		// Branch-free like Forward: x ≤ 0 (±0 included, NaN not)
+		// clears the mask.
+		x := a.lastInput.Data()[:len(gout)]
+		g = g[:len(gout)]
 		for i, v := range gout {
+			m := ^uint64(0)
 			if x[i] <= 0 {
-				g[i] = 0
-			} else {
-				g[i] = v
+				m = 0
 			}
+			g[i] = math.Float64frombits(math.Float64bits(v) & m)
 		}
 	case Tanh:
 		for i, v := range gout {

@@ -9,13 +9,21 @@ import (
 
 // TestSteadyStateAllocations: after a warm-up iteration the persistent
 // layer buffers and the tensor arena must absorb all hot-loop storage, so
-// conv/dense/pool forward+backward allocate near-zero bytes per
-// iteration. This is the regression guard that keeps the arena honest: if
+// conv/relu/lrn/pool/dense forward+backward allocate near-zero bytes per
+// iteration, the per-worker LRN scratch included. This is the regression guard that keeps the arena honest: if
 // a layer silently reverts to per-call tensor.New, this threshold trips.
 func TestSteadyStateAllocations(t *testing.T) {
 	conv, err := NewConv2D(Conv2DConfig{
 		Name: "c1", InC: 1, InH: 12, InW: 12, OutC: 4, Kernel: 3, Stride: 1, Pad: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relu, err := NewActivation("r1", ReLU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lrn, err := NewLRN(LRNConfig{Name: "n1", Depth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +52,15 @@ func TestSteadyStateAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := pool.Forward(c, true)
+		r, err := relu.Forward(c, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := lrn.Forward(r, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := pool.Forward(l, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +79,15 @@ func TestSteadyStateAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gc, err := pool.Backward(gp)
+		gl, err := pool.Backward(gp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr, err := lrn.Backward(gl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, err := relu.Backward(gr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -222,12 +223,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 				b := bias[oc]
 				row := dst[oc*planeOut : (oc+1)*planeOut]
 				if fuseReLU {
+					// v < 0 clears the mask: a conditional move, not a
+					// jump (see Activation.Forward); -0 and NaN pass.
 					for j, v := range row {
 						v += b
+						m := ^uint64(0)
 						if v < 0 {
-							v = 0
+							m = 0
 						}
-						row[j] = v
+						row[j] = math.Float64frombits(math.Float64bits(v) & m)
 					}
 				} else {
 					for j := range row {
@@ -248,6 +252,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
+	return c.backward(gradOut, true)
+}
+
+// backward accumulates dW and dB and, with wantIn, returns dX. Without
+// it the dX GEMM, its col2im and the gradIn buffer are skipped; dW and
+// dB are bit-identical either way (see BackwardParams).
+func (c *Conv2D) backward(gradOut *tensor.Tensor, wantIn bool) (*tensor.Tensor, error) {
 	if c.lastInput == nil {
 		return nil, fmt.Errorf("conv2d %q: %w", c.name, ErrNoForward)
 	}
@@ -262,9 +273,12 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 
 	planeOut := outH * outW
-	c.gradInBuf = reuseBufUninit(c.gradInBuf, n, g.InC, g.InH, g.InW)
-	gradIn := c.gradInBuf
-	gradIn.Zero() // Col2Im accumulates
+	var gradIn *tensor.Tensor
+	if wantIn {
+		c.gradInBuf = reuseBufUninit(c.gradInBuf, n, g.InC, g.InH, g.InW)
+		gradIn = c.gradInBuf
+		gradIn.Zero() // Col2Im accumulates
+	}
 
 	// The batch loop is parallelized over a fixed number of shards, each
 	// with its own dW/dB accumulators reduced in shard order afterwards.
@@ -301,8 +315,10 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 			}
 			// dX = col2im(Wᵀ · gradSample), overwriting the column
 			// scratch in place; GemmTransA reads W as the stored Wᵀ.
-			tensor.GemmTransA(cd, w, gs, kVol, g.OutC, planeOut)
-			tensor.Col2Im(gradIn.Data()[i*imgLen:(i+1)*imgLen], cd, g)
+			if wantIn {
+				tensor.GemmTransA(cd, w, gs, kVol, g.OutC, planeOut)
+				tensor.Col2Im(gradIn.Data()[i*imgLen:(i+1)*imgLen], cd, g)
+			}
 		}
 		tensor.Put(col)
 		partW[s], partB[s] = dw, db

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -111,12 +112,15 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 			for i := lo; i < hi; i++ {
 				row := od[i*d.out : (i+1)*d.out]
 				if fuseReLU {
+					// Branch-free, as in Conv2D's epilogue.
+					b := b[:len(row)]
 					for j, v := range row {
 						v += b[j]
+						m := ^uint64(0)
 						if v < 0 {
-							v = 0
+							m = 0
 						}
-						row[j] = v
+						row[j] = math.Float64frombits(math.Float64bits(v) & m)
 					}
 				} else {
 					for j := range row {

@@ -105,45 +105,49 @@ func (l *LRN) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	}
 	channels, h, w := sample[0], sample[1], sample[2]
 	plane := h * w
+	vol := channels * plane
 	// All three full-size temporaries persist across iterations; every
 	// element is written below before any read.
 	l.outBuf = reuseBufLike(l.outBuf, x)
 	l.lastDenom = reuseBufLike(l.lastDenom, x)
 	l.lastPow = reuseBufLike(l.lastPow, x)
-	out, denom, dpow := l.outBuf, l.lastDenom, l.lastPow
+	xd, od, dd, pd := x.Data(), l.outBuf.Data(), l.lastDenom.Data(), l.lastPow.Data()
 	tensor.ParallelFor(n, func(lo, hi int) {
+		// Per-worker scratch: one sample's squares, each computed once.
+		sqBuf := tensor.GetUninit(vol)
+		defer tensor.Put(sqBuf)
+		sq := sqBuf.Data()[:vol]
 		for i := lo; i < hi; i++ {
-			base := i * channels * plane
+			xs := xd[i*vol:][:vol]
+			for j, v := range xs {
+				sq[j] = v * v
+			}
 			for c := 0; c < channels; c++ {
+				o := i*vol + c*plane
+				// Each element's window sum, in place of its
+				// denominator.
+				s := dd[o : o+plane]
 				wlo, whi := l.window(c, channels)
-				for p := 0; p < plane; p++ {
-					s := 0.0
-					for cc := wlo; cc <= whi; cc++ {
-						v := x.Data()[base+cc*plane+p]
-						s += v * v
-					}
-					d := l.k + l.alpha*s
-					var pw float64
-					if l.beta == 0.75 {
-						// d^(−3/4) = 1/√(d·√d): two sqrts beat Pow in the
-						// hot path and are exact for the default β.
-						pw = 1 / math.Sqrt(d*math.Sqrt(d))
-					} else {
-						pw = math.Pow(d, -l.beta)
-					}
-					idx := base + c*plane + p
-					denom.Data()[idx] = d
-					dpow.Data()[idx] = pw
-					out.Data()[idx] = x.Data()[idx] * pw
+				sumRows(s, sq, wlo, whi)
+				xc, pw, y := xs[c*plane:(c+1)*plane], pd[o:o+plane], od[o:o+plane]
+				if l.beta == 0.75 {
+					// d^(−3/4) = 1/√(d·√d): two sqrts beat Pow and are
+					// exact for the default β.
+					tensor.LRNMap(s, pw, y, s, xc, l.k, l.alpha)
+					continue
+				}
+				for p, sv := range s {
+					d := l.k + l.alpha*sv
+					pw[p] = math.Pow(d, -l.beta)
+					s[p] = d
+					y[p] = xc[p] * pw[p]
 				}
 			}
 		}
 	})
 	l.lastInput = x
-	l.lastDenom = denom
-	l.lastPow = dpow
 	l.lastShape = x.Shape()
-	return out, nil
+	return l.outBuf, nil
 }
 
 // Backward implements Layer.
@@ -157,38 +161,72 @@ func (l *LRN) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	n := l.lastShape[0]
 	channels, h, w := l.lastShape[1], l.lastShape[2], l.lastShape[3]
 	plane := h * w
+	vol := channels * plane
 	l.gradInBuf = reuseBufUninit(l.gradInBuf, l.lastShape...)
-	gradIn := l.gradInBuf
 	a := l.lastInput.Data()
 	d := l.lastDenom.Data()
 	dp := l.lastPow.Data()
 	g := gradOut.Data()
-	gi := gradIn.Data()
+	gi := l.gradInBuf.Data()
+	coef := 2 * l.alpha * l.beta
 	tensor.ParallelFor(n, func(lo, hi int) {
+		// Per-worker scratch: one sample's cross terms and one row of
+		// their window sums.
+		buf := tensor.GetUninit(vol + plane)
+		defer tensor.Put(buf)
+		term, cross := buf.Data()[:vol], buf.Data()[vol:][:plane]
 		for i := lo; i < hi; i++ {
-			base := i * channels * plane
+			base := i * vol
+			// Every output j contributes g·a·d^(−β)/d to each input
+			// in its window; d^(−β−1) = d^(−β)/d avoids a Pow per
+			// term. Compute each term once, in the order
+			// ((g·a)·dp)/d.
+			gs, as, dps, ds := g[base:base+vol], a[base:base+vol], dp[base:base+vol], d[base:base+vol]
+			for j, gv := range gs {
+				term[j] = gv * as[j] * dps[j] / ds[j]
+			}
 			for c := 0; c < channels; c++ {
+				// Window symmetry: c ∈ window(j) ⟺ j ∈ window(c) for a
+				// centered window clipped at the edges, so the terms
+				// that reach c are those of c's own window.
 				wlo, whi := l.window(c, channels)
-				for p := 0; p < plane; p++ {
-					ci := base + c*plane + p
-					// Direct term, reusing the cached d^(−β).
-					sum := g[ci] * dp[ci]
-					// Cross terms: every output j whose window contains c.
-					// Window symmetry: c ∈ window(j) ⟺ j ∈ window(c) for a
-					// centered window clipped at the edges, so reuse it.
-					// d^(−β−1) = d^(−β)/d avoids a Pow per term.
-					cross := 0.0
-					for j := wlo; j <= whi; j++ {
-						ji := base + j*plane + p
-						cross += g[ji] * a[ji] * dp[ji] / d[ji]
-					}
-					sum -= 2 * l.alpha * l.beta * a[ci] * cross
-					gi[ci] = sum
+				sumRows(cross, term, wlo, whi)
+				o := c * plane
+				gc, ac, dpc, out := gs[o:][:plane], as[o:][:plane], dps[o:][:plane], gi[base+o:][:plane]
+				for p, cv := range cross {
+					// Direct term, reusing the cached d^(−β), minus the
+					// cross terms.
+					out[p] = gc[p]*dpc[p] - coef*ac[p]*cv
 				}
 			}
 		}
 	})
-	return gradIn, nil
+	return l.gradInBuf, nil
+}
+
+// sumRows sets each s[p] to the sum over channels lo..hi of
+// rows[c·len(s)+p], added from +0 in ascending channel order as a
+// per-element loop adds it, so the bits match. Four channel rows go per
+// pass: one load and store of s per four adds instead of per add.
+func sumRows(s, rows []float64, lo, hi int) {
+	plane := len(s)
+	clear(s)
+	c := lo
+	for ; c+3 <= hi; c += 4 {
+		r0 := rows[c*plane:][:plane]
+		r1 := rows[(c+1)*plane:][:plane]
+		r2 := rows[(c+2)*plane:][:plane]
+		r3 := rows[(c+3)*plane:][:plane]
+		for p := range s {
+			s[p] = s[p] + r0[p] + r1[p] + r2[p] + r3[p]
+		}
+	}
+	for ; c <= hi; c++ {
+		r := rows[c*plane:][:plane]
+		for p := range s {
+			s[p] += r[p]
+		}
+	}
 }
 
 // ReleaseBuffers drops cached state and persistent buffers.

@@ -107,14 +107,24 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 // Backward propagates ∂loss/∂logits back through all layers, accumulating
 // parameter gradients, and returns ∂loss/∂input.
 func (n *Network) Backward(gradLogits *tensor.Tensor) (*tensor.Tensor, error) {
+	return n.backward(gradLogits, true)
+}
+
+// backward is Backward; without wantIn the first layer runs
+// BackwardParams and the result is nil.
+func (n *Network) backward(gradLogits *tensor.Tensor, wantIn bool) (*tensor.Tensor, error) {
 	cur := gradLogits
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		l := n.layers[i]
-		prev, err := l.Backward(cur)
+		var err error
+		if i == 0 && !wantIn {
+			cur, err = nil, BackwardParams(l, cur)
+		} else {
+			cur, err = l.Backward(cur)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("network %q: backward %q: %w", n.name, l.Name(), err)
 		}
-		cur = prev
 	}
 	return cur, nil
 }
@@ -126,7 +136,8 @@ func (n *Network) Loss(logits *tensor.Tensor, labels []int) (LossResult, error) 
 
 // TrainStep runs forward, loss and backward for one mini-batch and returns
 // the loss result. Gradients accumulate into Params; callers step an
-// optimizer afterwards.
+// optimizer afterwards. The first layer runs BackwardParams, so the
+// input gradient, which nothing here reads, is skipped where it can be.
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (LossResult, error) {
 	logits, err := n.Forward(x, true)
 	if err != nil {
@@ -136,7 +147,7 @@ func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (LossResult, error) 
 	if err != nil {
 		return LossResult{}, err
 	}
-	if _, err := n.Backward(res.Grad); err != nil {
+	if _, err := n.backward(res.Grad, false); err != nil {
 		return LossResult{}, err
 	}
 	return res, nil

@@ -83,47 +83,6 @@ func (g ConvGeom) validCols(kw, outW int) (lo, hi int) {
 	return lo, hi
 }
 
-// Im2Row lowers one image into the transpose of Im2Col's layout: a matrix
-// with (OutH*OutW) rows and (C*KH*KW) columns, row r holding the receptive
-// field of output pixel r in weight order (channel-major, then kh, kw).
-// This is the operand shape GemmTransB wants — both reduction operands
-// contiguous — so the forward convolution GEMM needs no panel packing.
-// Writes are a single ascending pass over row; the strided image reads hit
-// planes small enough to stay cache-resident.
-//
-// row must have length OutH*OutW*C*KH*KW. Padding positions contribute 0.
-func Im2Row(row, img []float64, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	ri := 0
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			for c := 0; c < g.InC; c++ {
-				plane := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
-				for kh := 0; kh < g.KH; kh++ {
-					iy := oy*g.StrideH - g.PadH + kh
-					if iy < 0 || iy >= g.InH {
-						for kw := 0; kw < g.KW; kw++ {
-							row[ri] = 0
-							ri++
-						}
-						continue
-					}
-					rowBase := iy * g.InW
-					for kw := 0; kw < g.KW; kw++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix < 0 || ix >= g.InW {
-							row[ri] = 0
-						} else {
-							row[ri] = plane[rowBase+ix]
-						}
-						ri++
-					}
-				}
-			}
-		}
-	}
-}
-
 // Col2Im is the adjoint of Im2Col: it scatters (accumulates) a column
 // matrix back into an image gradient. img must be zeroed by the caller if
 // fresh accumulation is desired. Every pixel receives its terms in the

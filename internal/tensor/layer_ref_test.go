@@ -1,6 +1,7 @@
 package tensor_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 // micro-kernel the host supports, produce the forward output and the
 // weight, bias and input gradients that the scalar GEMM reference gives
 // when it replays the layers' lowering, sharding and accumulation order,
-// bit for bit.
+// bit for bit. With ReLU fused into the GEMM epilogue the forward output
+// is the reference's followed by `v += b; if v < 0 { v = 0 }`.
 func TestLayersMatchReference(t *testing.T) {
 	convs := []nn.Conv2DConfig{
 		{InC: 3, InH: 9, InW: 9, OutC: 6, Kernel: 3, Stride: 1, Pad: 1},  // odd n, 2 remainder rows, axpy dX
@@ -22,12 +24,14 @@ func TestLayersMatchReference(t *testing.T) {
 	for _, kern := range tensor.KernelsOnHost() {
 		fma := kern != "portable"
 		tensor.WithKernel(kern, func() {
-			for ci, cfg := range convs {
-				cfg.Name = "conv"
-				checkConv(t, kern, ci, cfg, fma)
+			for _, fused := range []bool{false, true} {
+				for ci, cfg := range convs {
+					cfg.Name = "conv"
+					checkConv(t, kern, ci, cfg, fma, fused)
+				}
+				checkDense(t, kern, 7, 37, 10, fma, fused)
+				checkDense(t, kern, 20, 64, 33, fma, fused)
 			}
-			checkDense(t, kern, 7, 37, 10, fma)
-			checkDense(t, kern, 20, 64, 33, fma)
 		})
 	}
 }
@@ -42,6 +46,16 @@ func values(rng *tensor.RNG, n int) []float64 {
 	return v
 }
 
+// addBias is the bias epilogue as the layers wrote it before the
+// branch-free rewrite: v += b, then, with ReLU fused, v < 0 becomes +0.
+func addBias(v, b float64, relu bool) float64 {
+	v += b
+	if relu && v < 0 {
+		v = 0
+	}
+	return v
+}
+
 func equalBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
@@ -51,10 +65,13 @@ func equalBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-func checkConv(t *testing.T, kern string, ci int, cfg nn.Conv2DConfig, fma bool) {
+func checkConv(t *testing.T, kern string, ci int, cfg nn.Conv2DConfig, fma, fused bool) {
 	layer, err := nn.NewConv2D(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fused {
+		layer.SetFusedActivation(nn.ReLU)
 	}
 	g := layer.Geom()
 	rng := tensor.NewRNG(uint64(40 + ci))
@@ -91,7 +108,7 @@ func checkConv(t *testing.T, kern string, ci int, cfg nn.Conv2DConfig, fma bool)
 		tensor.RefGemmWholeK(o, w, col, g.OutC, kVol, plane, false, fma)
 		for oc := 0; oc < g.OutC; oc++ {
 			for j := range o[oc*plane : (oc+1)*plane] {
-				o[oc*plane+j] += bias[oc]
+				o[oc*plane+j] = addBias(o[oc*plane+j], bias[oc], fused)
 			}
 		}
 	}
@@ -123,17 +140,20 @@ func checkConv(t *testing.T, kern string, ci int, cfg nn.Conv2DConfig, fma bool)
 			wantDB[j] += db[j]
 		}
 	}
-	name := kern + " " + layer.Name()
+	name := fmt.Sprintf("%s %s %d fused=%v", kern, layer.Name(), ci, fused)
 	equalBits(t, name+" forward", gotOut, wantOut)
 	equalBits(t, name+" dW", layer.Params()[0].Grad.Data(), wantDW)
 	equalBits(t, name+" dB", layer.Params()[1].Grad.Data(), wantDB)
 	equalBits(t, name+" dX", gradIn.Data(), wantDX)
 }
 
-func checkDense(t *testing.T, kern string, batch, in, out int, fma bool) {
+func checkDense(t *testing.T, kern string, batch, in, out int, fma, fused bool) {
 	layer, err := nn.NewDense("fc", in, out)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fused {
+		layer.SetFusedActivation(nn.ReLU)
 	}
 	rng := tensor.NewRNG(uint64(batch*in + out))
 	w, bias := layer.Params()[0].Value.Data(), layer.Params()[1].Value.Data()
@@ -161,7 +181,7 @@ func checkDense(t *testing.T, kern string, batch, in, out int, fma bool) {
 	tensor.RefGemmTransB(wantY, x.Data(), w, batch, in, out, false, fma)
 	for i := 0; i < batch; i++ {
 		for j := 0; j < out; j++ {
-			wantY[i*out+j] += bias[j]
+			wantY[i*out+j] = addBias(wantY[i*out+j], bias[j], fused)
 		}
 	}
 	wantDW := make([]float64, len(w))
@@ -177,7 +197,7 @@ func checkDense(t *testing.T, kern string, batch, in, out int, fma bool) {
 	}
 	wantDX := make([]float64, batch*in)
 	tensor.RefGemm(wantDX, gradOut.Data(), w, batch, out, in, false, fma)
-	name := kern + " dense"
+	name := fmt.Sprintf("%s dense %dx%d fused=%v", kern, batch, in, fused)
 	equalBits(t, name+" forward", gotY, wantY)
 	equalBits(t, name+" dW", layer.Params()[0].Grad.Data(), wantDW)
 	equalBits(t, name+" dB", layer.Params()[1].Grad.Data(), wantDB)

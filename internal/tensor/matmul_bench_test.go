@@ -63,7 +63,7 @@ func BenchmarkGemmTransB(b *testing.B) {
 
 func BenchmarkGemmWholeK(b *testing.B) {
 	// The same dW GEMM as the conv layer now issues it, B lowered k-major
-	// by Im2Row and read in place.
+	// and read in place.
 	const m, k, n = 64, 196, 800
 	a := fillSeq(m*k, 3)
 	bb := fillSeq(k*n, 5)

@@ -111,10 +111,11 @@ func GemmInt8TransB(c []int32, a, b []int8, m, k, n int) {
 	})
 }
 
-// Im2RowInt8 is Im2Row over quantized images: it lowers one int8 image
-// (C×H×W flat slice) into a (OutH*OutW)×(C*KH*KW) row matrix in weight
-// order, the operand GemmInt8TransB wants. Padding contributes 0, which
-// is exact under symmetric quantization.
+// Im2RowInt8 lowers one int8 image (C×H×W flat slice) into the
+// transpose of Im2Col's layout: a (OutH*OutW)×(C*KH*KW) row matrix, row
+// r holding output pixel r's receptive field in weight order, the
+// operand GemmInt8TransB wants. Padding contributes 0, which is exact
+// under symmetric quantization.
 func Im2RowInt8(row, img []int8, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	kVol := g.InC * g.KH * g.KW

@@ -198,7 +198,7 @@ func TestIm2RowInt8MatchesFloatLowering(t *testing.T) {
 
 	vol := g.OutH() * g.OutW() * g.InC * g.KH * g.KW
 	frow := make([]float64, vol)
-	Im2Row(frow, img.Data(), g)
+	naiveIm2Row(frow, img.Data(), g)
 	wantQ := make([]int8, vol)
 	QuantizeInt8(wantQ, frow, p)
 
