@@ -39,12 +39,11 @@ race:
 # the host runs (AVX-512, AVX2, portable) against the scalar reference in
 # gemm_ref_test.go — bit-identical on finite inputs, Inf/NaN in the same
 # positions — plus worker-count independence, the lowering fast paths,
-# the LRN map kernels against their portable loop, the Conv2D/Dense
-# layers (fused ReLU epilogue included) and, in internal/nn, the
-# Activation, Pool2D and LRN layers against their scalar references in
-# layer_ref_test.go. The second run builds with -tags noasm, which
-# leaves the amd64 assembly out, so the portable kernel is the only path
-# and must pass on its own.
+# the Conv2D/Dense layers (fused ReLU epilogue included) and, in
+# internal/nn, the Activation, Pool2D and LRN layers against their
+# scalar references in layer_ref_test.go. The second run builds with
+# -tags noasm, which leaves the amd64 assembly out, so the portable
+# kernel is the only path and must pass on its own.
 kernels:
 	$(GO) test -count=1 -run 'Kernel|Workers|Lowering|LayersMatch|GemmInt8' ./internal/tensor/ ./internal/nn/
 	$(GO) test -count=1 -tags noasm -run 'Kernel|Workers|Lowering|LayersMatch|GemmInt8' ./internal/tensor/ ./internal/nn/

@@ -21,8 +21,8 @@ type module struct {
 	layer    nn.Layer // nil for containers
 	spanName string   // profiling-mode per-op span name (leaves only)
 	children []*module
-	// input marks the first leaf, which reads the network input: its
-	// backward accumulates parameter gradients only.
+	// input marks the leaf of the network's first layer, which reads the
+	// network input: its backward accumulates parameter gradients only.
 	input bool
 }
 
@@ -103,19 +103,6 @@ func (m *module) depth() int {
 	return best
 }
 
-// firstLeaf returns the first leaf in dispatch order, or nil.
-func (m *module) firstLeaf() *module {
-	if m.layer != nil {
-		return m
-	}
-	for _, c := range m.children {
-		if l := c.firstLeaf(); l != nil {
-			return l
-		}
-	}
-	return nil
-}
-
 // leaves counts leaf modules.
 func (m *module) leaves() int {
 	if m.layer != nil {
@@ -176,7 +163,7 @@ func NewModule(net *nn.Network, tr *obs.Tracer) (*ModuleExecutor, error) {
 		}
 	}
 	leaf := func(l nn.Layer) *module {
-		return &module{name: l.Name(), layer: l, spanName: OpSpanName("module", l.Name())}
+		return &module{name: l.Name(), layer: l, spanName: OpSpanName("module", l.Name()), input: l == layers[0]}
 	}
 	root := &module{name: "root"}
 	if split < 0 {
@@ -195,9 +182,6 @@ func NewModule(net *nn.Network, tr *obs.Tracer) (*ModuleExecutor, error) {
 			classifier.children = append(classifier.children, leaf(l))
 		}
 		root.children = append(root.children, features, classifier)
-	}
-	if first := root.firstLeaf(); first != nil {
-		first.input = true
 	}
 	return &ModuleExecutor{
 		net:       net,

@@ -11,9 +11,10 @@ import (
 
 // Scalar references for the non-GEMM layers: Activation's, Pool2D's and
 // LRN's loops as they stood before the branch-free, bounds-check-free
-// and shared-term rewrites, kept verbatim apart from running serially.
-// The layers must reproduce them bit for bit; gemm_ref_test.go in
-// internal/tensor plays the same part for the GEMM kernels.
+// and shared-term rewrites, kept verbatim apart from running serially
+// and from the conversion in refLRNForward's sum of squares. The layers
+// must reproduce them bit for bit; gemm_ref_test.go in internal/tensor
+// plays the same part for the GEMM kernels.
 
 func refActForward(kind ActKind, o, xd []float64) {
 	switch kind {
@@ -162,7 +163,14 @@ func refLRNForward(l *LRN, n, channels, plane int, xd, out, denom, dpow []float6
 				s := 0.0
 				for cc := wlo; cc <= whi; cc++ {
 					v := xd[base+cc*plane+p]
-					s += v * v
+					// The old loop read s += v * v. The conversion
+					// keeps the compiler from fusing the square into
+					// the sum: on amd64, where Go fuses no multiply
+					// and add, this is the old arithmetic exactly. On
+					// arm64, ppc64, s390x, riscv64 and loong64 the old
+					// loop fused it, and the rewrite, which squares
+					// each input once, does not reproduce that.
+					s += float64(v * v)
 				}
 				d := l.k + l.alpha*s
 				var pw float64

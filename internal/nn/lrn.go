@@ -130,17 +130,17 @@ func (l *LRN) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 				wlo, whi := l.window(c, channels)
 				sumRows(s, sq, wlo, whi)
 				xc, pw, y := xs[c*plane:(c+1)*plane], pd[o:o+plane], od[o:o+plane]
-				if l.beta == 0.75 {
-					// d^(−3/4) = 1/√(d·√d): two sqrts beat Pow and are
-					// exact for the default β.
-					tensor.LRNMap(s, pw, y, s, xc, l.k, l.alpha)
-					continue
-				}
 				for p, sv := range s {
 					d := l.k + l.alpha*sv
-					pw[p] = math.Pow(d, -l.beta)
-					s[p] = d
-					y[p] = xc[p] * pw[p]
+					var pv float64
+					if l.beta == 0.75 {
+						// d^(−3/4) = 1/√(d·√d): two sqrts beat Pow in the
+						// hot path and are exact for the default β.
+						pv = 1 / math.Sqrt(d*math.Sqrt(d))
+					} else {
+						pv = math.Pow(d, -l.beta)
+					}
+					s[p], pw[p], y[p] = d, pv, xc[p]*pv
 				}
 			}
 		}
@@ -206,8 +206,14 @@ func (l *LRN) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 
 // sumRows sets each s[p] to the sum over channels lo..hi of
 // rows[c·len(s)+p], added from +0 in ascending channel order as a
-// per-element loop adds it, so the bits match. Four channel rows go per
-// pass: one load and store of s per four adds instead of per add.
+// per-element loop adds it. Four channel rows go per pass: one load and
+// store of s per four adds instead of per add.
+//
+// Over rows of squares this gives the bits of the per-element
+// s += v*v only where Go does not fuse a multiply and an add, as on
+// amd64. On arm64, ppc64, s390x, riscv64 and loong64 the compiler fuses
+// that loop's v*v into the sum, so there the separately rounded squares
+// can move a window sum's last bit.
 func sumRows(s, rows []float64, lo, hi int) {
 	plane := len(s)
 	clear(s)

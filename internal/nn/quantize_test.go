@@ -8,8 +8,9 @@ import (
 )
 
 // TestQuantConvPaddedReductionMatchesUnpadded: QuantConv2D pads its
-// reduction to the int8 kernel's block with zero weights and zero row
-// entries; its outputs must equal, bit for bit, the unpadded lowering and
+// reduction to the int8 kernel's block with zero weights, and the gaps
+// between its spread rows keep stale values that meet only those zero
+// weights; its outputs must equal, bit for bit, the unpadded lowering and
 // GEMM over C·KH·KW followed by the same dequantization, for reduction
 // lengths below, between and on block multiples, at batch 1 and with
 // concurrent sample chunks.

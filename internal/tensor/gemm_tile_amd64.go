@@ -36,15 +36,6 @@ func packStripTAVX512(dst, src *float64, idx *int64, k, cols int)
 //go:noescape
 func packStripTAVX2(dst, src *float64, idx *int64, k, cols int)
 
-// lrnMapAVX512 and lrnMapAVX2 run LRNMap's loop over n elements, n a
-// multiple of 8 or 4; see lrn_amd64.s.
-//
-//go:noescape
-func lrnMapAVX512(d, p, y, s, x *float64, n int, k, alpha float64)
-
-//go:noescape
-func lrnMapAVX2(d, p, y, s, x *float64, n int, k, alpha float64)
-
 var hasAVX2FMA, hasAVX512 = cpuGemmFeatures()
 
 // bestGemmKernel is the widest tile kernel the host runs.
@@ -88,21 +79,4 @@ func tileFMA(kern gemmKernel, a, b, c *float64, keep *uint8, ars, aks, ldb, ldc,
 		return
 	}
 	gemmTileAVX2(a, b, c, keep, ars, aks, ldb, ldc, rows, cols, k4, tail, add, ph, mode)
-}
-
-// lrnMapVec runs kern's vector LRNMap loop over the longest prefix of
-// whole vectors and returns its length; the caller finishes the rest.
-func lrnMapVec(kern gemmKernel, d, p, y, s, x []float64, k, alpha float64) int {
-	var n int
-	switch kern {
-	case kernelAVX512:
-		if n = len(s) &^ 7; n > 0 {
-			lrnMapAVX512(&d[0], &p[0], &y[0], &s[0], &x[0], n, k, alpha)
-		}
-	case kernelAVX2:
-		if n = len(s) &^ 3; n > 0 {
-			lrnMapAVX2(&d[0], &p[0], &y[0], &s[0], &x[0], n, k, alpha)
-		}
-	}
-	return n
 }

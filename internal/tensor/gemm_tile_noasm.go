@@ -19,7 +19,3 @@ func packStripT(gemmKernel, *float64, *float64, int, int, int) {
 func tileFMA(gemmKernel, *float64, *float64, *float64, *uint8, int, int, int, int, int, int, int, int, int, *float64, int) {
 	panic("tensor: no FMA tile kernel in this build")
 }
-
-func lrnMapVec(gemmKernel, []float64, []float64, []float64, []float64, []float64, float64, float64) int {
-	return 0
-}
