@@ -1,18 +1,25 @@
 # Tier-1 gate for this repository. `make check` is what CI (and every PR)
 # must keep green: static checks, a full build, the race-enabled test
 # suite, the observability overhead guard that proves the disabled
-# tracer costs <2% of a training iteration, and the chaos suite that
+# tracer costs <2% of a training iteration, the chaos suite that
 # exercises fault injection, divergence recovery, panic conversion and
-# checkpoint/resume under the race detector.
+# checkpoint/resume under the race detector, and a short fuzz run of
+# the fault grammar.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check vet build test race kernels obs-overhead chaos infer-gate serve-smoke perfbench-check queue-386 microbench trace-demo clean
+.PHONY: check vet build test race kernels obs-overhead chaos fuzz infer-gate serve-smoke perfbench-check queue-386 microbench trace-demo clean
 
-check: vet build test race kernels obs-overhead chaos infer-gate serve-smoke perfbench-check queue-386
+check: vet build test race kernels obs-overhead chaos fuzz infer-gate serve-smoke perfbench-check queue-386
 
+# go vet, then gofmt over every Go file of the root module and
+# perfbench/ (dot directories such as .bench_build are skipped): any file
+# gofmt would change fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l $$(find . -path './.*' -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -64,6 +71,14 @@ chaos:
 	$(GO) test -race -count=1 -timeout 20m \
 		-run 'Chaos|Fault|Inject|Panic|Resume|Cancel|Checkpoint|Guard|Diverge|Recover|Backoff|Plan' \
 		./internal/resilience/ ./internal/core/ ./internal/engine/ ./internal/tensor/
+
+# Native fuzzing of the -faults grammar, which POST /jobs accepts from
+# the network: no input may panic ParsePlan, and every plan it accepts
+# must hold the invariants FuzzParsePlan checks. The seed corpus is in
+# internal/resilience/testdata/fuzz/FuzzParsePlan; go test writes any
+# failing input there too.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/resilience/
 
 # Inference-workload gates, run fresh (-count=1): the quantization
 # property tests (round-trip bound, saturation, int8 GEMM tolerance),

@@ -340,18 +340,18 @@ func run(args []string) error {
 	if *profilePath != "" || *profileFoldPath != "" {
 		prof := profile.Build(tracer.Spans())
 		if f := outFiles[*profilePath]; f != nil {
-			write := prof.WriteTable
+			format := "table"
 			if strings.HasSuffix(*profilePath, ".csv") {
-				write = prof.WriteCSV
+				format = "csv"
 			}
-			if err := write(f); err != nil {
+			if err := prof.Write(f, format); err != nil {
 				return err
 			}
 			sink.printf("wrote attribution profile (%d span names, %.1f%% coverage) to %s",
 				len(prof.Entries), prof.CoveragePct(), *profilePath)
 		}
 		if f := outFiles[*profileFoldPath]; f != nil {
-			if err := prof.WriteFolded(f); err != nil {
+			if err := prof.Write(f, "folded"); err != nil {
 				return err
 			}
 			sink.printf("wrote folded stacks to %s (flamegraph.pl or https://speedscope.app)", *profileFoldPath)

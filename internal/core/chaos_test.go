@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/framework"
@@ -202,6 +204,44 @@ func TestCancellationYieldsPartialMatrix(t *testing.T) {
 	}
 	if len(rows) != 0 {
 		t.Fatalf("cancelled during cell 1, got %d completed rows", len(rows))
+	}
+}
+
+// TestSlowFaultObeysDeadline: a slow fault far longer than the run's
+// deadline fires, and the run ends with the deadline's error soon after
+// the deadline instead of sleeping out the delay.
+func TestSlowFaultObeysDeadline(t *testing.T) {
+	s, err := NewSuite(chaosScale, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Synthesize the data first so the deadline falls inside training.
+	if _, _, err := s.Datasets(framework.MNIST); err != nil {
+		t.Fatal(err)
+	}
+	s.Obs = obs.New()
+	plan, err := resilience.ParsePlan("slow@0:delay=1000h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Faults = plan
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.RunContext(ctx, baselineSpec(framework.Caffe))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("run under a slow fault returned %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("run slept out its slow fault past a 300ms deadline")
+	}
+	if got := s.Obs.Counter(resilience.CounterFaultsInjected).Value(); got != 1 {
+		t.Fatalf("faults injected = %d, want 1", got)
 	}
 }
 

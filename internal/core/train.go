@@ -153,7 +153,7 @@ func (s *Suite) train(ctx context.Context, spec RunSpec, key modelKey) (*trained
 	// executor's op hook; when no fault targets the cell the hook stays
 	// uninstalled and the executors keep their nil-check fast path.
 	if r.injector = s.Faults.For(r.cell); r.injector != nil {
-		exec.SetOpHook(r.injector.OpError)
+		exec.SetOpHook(func(site string) error { return r.injector.OpError(ctx, site) })
 	}
 
 	tm := &trainedModel{

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -45,10 +46,11 @@ var ErrPanic = errors.New("engine: recovered panic")
 // CatEngine is the obs span category used by all executor spans.
 const CatEngine = "engine"
 
-// CatOp is the obs span category of per-op dispatch spans. Executors emit
-// them only in profiling mode (obs.Tracer.EnableProfiling): one span per
-// layer dispatch would dominate the span buffer on long sweeps, but in
-// profiling mode they are what turns the trace into a per-layer
+// CatOp is the obs span category of per-op dispatch spans. Executors open
+// one around every layer dispatch through obs.Tracer.OpSpan, which
+// records it only in profiling mode (obs.Tracer.EnableProfiling): one
+// span per layer dispatch would dominate the span buffer on long sweeps,
+// but in profiling mode they are what turns the trace into a per-layer
 // attribution profile.
 const CatOp = "op"
 
@@ -141,19 +143,21 @@ func recoverPanic(style string, err *error) {
 	}
 }
 
-// backwardOp runs one layer's gradient op. For a layer that reads the
-// network input (input), nothing consumes ∂loss/∂input, so it accumulates
-// the parameter gradients alone (nn.BackwardParams) and returns nil. The
-// dispatch around it — hook, span, counter — is the same either way.
-func backwardOp(l nn.Layer, grad *tensor.Tensor, input bool) (*tensor.Tensor, error) {
-	if input {
-		return nil, nn.BackwardParams(l, grad)
-	}
-	return l.Backward(grad)
+// fusable is a GEMM layer (Conv2D, Dense) that can apply an activation
+// in its epilogue; SetFusedActivation reports whether it will.
+type fusable interface {
+	SetFusedActivation(nn.ActKind) bool
 }
 
-// predict is the shared argmax implementation.
-func predict(logits *tensor.Tensor) ([]int, error) {
+// predict is the one Predict body: a span named span around e's Logits,
+// then the argmax of every row.
+func predict(ctx context.Context, e Executor, tr *obs.Tracer, span string, x *tensor.Tensor) ([]int, error) {
+	sp := tr.Span(span, CatEngine)
+	defer sp.End()
+	logits, err := e.Logits(ctx, x)
+	if err != nil {
+		return nil, err
+	}
 	if logits.Dims() != 2 {
 		return nil, nn.ErrShape
 	}

@@ -17,8 +17,8 @@ type opNode struct {
 	// (skip source, branch end) and dispatches Residual.AddForward
 	// instead of a layer kernel. layer is nil on add nodes.
 	resid *nn.Residual
-	// spanName is the profiling-mode per-op span name, built once at
-	// graph construction so the dispatch loop allocates nothing.
+	// spanName is the per-op span name, built once at graph construction
+	// so the dispatch loop allocates nothing.
 	spanName string
 	// deps are node ids this node consumes from (-1 is the graph input);
 	// succ the consumers.
@@ -198,25 +198,15 @@ func (g *GraphExecutor) fuse() {
 			continue
 		}
 		p := g.nodes[n.deps[0]]
-		switch pl := p.layer.(type) {
-		case *nn.Conv2D:
-			if len(p.succ) == 1 {
-				n.fusedInto = p.id
-				g.fused++
-				if pl.SetFusedActivation(act.Kind()) {
-					n.skipExec = true
-					p.adopt = act
-				}
-			}
-		case *nn.Dense:
-			if len(p.succ) == 1 {
-				n.fusedInto = p.id
-				g.fused++
-				if pl.SetFusedActivation(act.Kind()) {
-					n.skipExec = true
-					p.adopt = act
-				}
-			}
+		pl, ok := p.layer.(fusable)
+		if !ok || len(p.succ) != 1 {
+			continue
+		}
+		n.fusedInto = p.id
+		g.fused++
+		if pl.SetFusedActivation(act.Kind()) {
+			n.skipExec = true
+			p.adopt = act
 		}
 	}
 }
@@ -242,7 +232,7 @@ func (g *GraphExecutor) SetOpHook(h OpHook) { g.hook = h }
 // Residual.Backward.
 //
 // Nothing reads the graph input's gradient (slot 0), so contributions to
-// it are dropped; the layers fed by the input compute none (backwardOp).
+// it are dropped; the layers fed by the input compute none (nn.Backprop).
 func (g *GraphExecutor) contribute(dst int, t *tensor.Tensor) {
 	if dst < 0 {
 		return
@@ -300,7 +290,6 @@ func (g *GraphExecutor) TrainBatch(ctx context.Context, x *tensor.Tensor, labels
 		return nn.LossResult{}, err
 	}
 	bwd := g.tr.Span("graph.backward", CatEngine)
-	profiling := g.tr.ProfilingEnabled()
 	for i := range g.grads {
 		g.grads[i] = nil
 	}
@@ -326,14 +315,9 @@ func (g *GraphExecutor) TrainBatch(ctx context.Context, x *tensor.Tensor, labels
 			g.contribute(n.deps[1], grad)
 			continue
 		}
-		var gin *tensor.Tensor
-		if profiling {
-			sp := g.tr.Span(n.spanName, CatOp)
-			gin, err = backwardOp(n.layer, grad, n.deps[0] < 0)
-			sp.End()
-		} else {
-			gin, err = backwardOp(n.layer, grad, n.deps[0] < 0)
-		}
+		sp := g.tr.OpSpan(n.spanName, CatOp)
+		gin, err := nn.Backprop(n.layer, grad, n.deps[0] >= 0)
+		sp.End()
 		if err != nil {
 			bwd.End()
 			return nn.LossResult{}, fmt.Errorf("engine: graph backward: %w", err)
@@ -352,7 +336,6 @@ func (g *GraphExecutor) run(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 	outs := g.outs
 	outs[0] = x
 	dispatched := int64(1) // session-run dispatch
-	profiling := g.tr.ProfilingEnabled()
 	for _, id := range g.schedule {
 		n := g.nodes[id]
 		if n.skipExec {
@@ -369,15 +352,9 @@ func (g *GraphExecutor) run(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 				return nil, fmt.Errorf("engine: graph forward dispatch: %w", err)
 			}
 		}
-		var next *tensor.Tensor
-		var err error
-		if profiling {
-			sp := g.tr.Span(n.spanName, CatOp)
-			next, err = g.dispatch(n, outs, train)
-			sp.End()
-		} else {
-			next, err = g.dispatch(n, outs, train)
-		}
+		sp := g.tr.OpSpan(n.spanName, CatOp)
+		next, err := g.dispatch(n, outs, train)
+		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("engine: graph forward node %d (%s): %w", id, g.nodeName(n), err)
 		}
@@ -421,13 +398,7 @@ func (g *GraphExecutor) Logits(ctx context.Context, x *tensor.Tensor) (out *tens
 
 // Predict implements Executor.
 func (g *GraphExecutor) Predict(ctx context.Context, x *tensor.Tensor) ([]int, error) {
-	sp := g.tr.Span("graph.predict", CatEngine)
-	defer sp.End()
-	logits, err := g.Logits(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	return predict(logits)
+	return predict(ctx, g, g.tr, "graph.predict", x)
 }
 
 // Stats implements Executor.

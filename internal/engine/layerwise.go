@@ -17,8 +17,8 @@ type LayerwiseExecutor struct {
 	batchHint int
 	blobBytes int64
 
-	// opNames are the profiling-mode per-op span names, one per layer,
-	// built once so the dispatch loops allocate nothing.
+	// opNames are the per-op span names, one per layer, built once so
+	// the dispatch loops allocate nothing.
 	opNames []string
 
 	// adopts[i], when non-nil, marks layer i as an in-place activation
@@ -75,15 +75,8 @@ func NewLayerwise(net *nn.Network, batchHint int, tr *obs.Tracer) (*LayerwiseExe
 		// layer runs inside that layer's GEMM epilogue (Caffe's
 		// top==bottom in-place ReLU).
 		if act, ok := l.(*nn.Activation); ok && i > 0 {
-			switch prev := layers[i-1].(type) {
-			case *nn.Conv2D:
-				if prev.SetFusedActivation(act.Kind()) {
-					e.adopts[i] = act
-				}
-			case *nn.Dense:
-				if prev.SetFusedActivation(act.Kind()) {
-					e.adopts[i] = act
-				}
+			if prev, ok := layers[i-1].(fusable); ok && prev.SetFusedActivation(act.Kind()) {
+				e.adopts[i] = act
 			}
 		}
 	}
@@ -105,35 +98,23 @@ func (e *LayerwiseExecutor) SetOpHook(h OpHook) { e.hook = h }
 // dispatch passes through the op hook.
 func (e *LayerwiseExecutor) forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	cur := x
-	profiling := e.tr.ProfilingEnabled()
 	for i, l := range e.net.Layers() {
 		if e.hook != nil {
 			if err := e.hook("layerwise.forward"); err != nil {
 				return nil, fmt.Errorf("engine: layerwise forward dispatch: %w", err)
 			}
 		}
+		sp := e.tr.OpSpan(e.opNames[i], CatOp)
 		if a := e.adopts[i]; a != nil {
 			// In-place activation: the previous layer already applied it
 			// in its GEMM epilogue. The dispatch (hook, span, counter)
-			// still happens above; the kernel is a no-op adoption.
-			if profiling {
-				sp := e.tr.Span(e.opNames[i], CatOp)
-				a.AdoptFused(cur)
-				sp.End()
-			} else {
-				a.AdoptFused(cur)
-			}
+			// still happens; the kernel is a no-op adoption.
+			a.AdoptFused(cur)
+			sp.End()
 			continue
 		}
-		var next *tensor.Tensor
-		var err error
-		if profiling {
-			sp := e.tr.Span(e.opNames[i], CatOp)
-			next, err = l.Forward(cur, train)
-			sp.End()
-		} else {
-			next, err = l.Forward(cur, train)
-		}
+		next, err := l.Forward(cur, train)
+		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("engine: layerwise forward %q: %w", l.Name(), err)
 		}
@@ -147,22 +128,15 @@ func (e *LayerwiseExecutor) forward(x *tensor.Tensor, train bool) (*tensor.Tenso
 func (e *LayerwiseExecutor) backward(grad *tensor.Tensor) error {
 	layers := e.net.Layers()
 	cur := grad
-	profiling := e.tr.ProfilingEnabled()
 	for i := len(layers) - 1; i >= 0; i-- {
 		if e.hook != nil {
 			if err := e.hook("layerwise.backward"); err != nil {
 				return fmt.Errorf("engine: layerwise backward dispatch: %w", err)
 			}
 		}
-		var prev *tensor.Tensor
-		var err error
-		if profiling {
-			sp := e.tr.Span(e.opNames[i], CatOp)
-			prev, err = backwardOp(layers[i], cur, i == 0)
-			sp.End()
-		} else {
-			prev, err = backwardOp(layers[i], cur, i == 0)
-		}
+		sp := e.tr.OpSpan(e.opNames[i], CatOp)
+		prev, err := nn.Backprop(layers[i], cur, i > 0)
+		sp.End()
 		if err != nil {
 			return fmt.Errorf("engine: layerwise backward %q: %w", layers[i].Name(), err)
 		}
@@ -221,13 +195,7 @@ func (e *LayerwiseExecutor) Logits(ctx context.Context, x *tensor.Tensor) (out *
 
 // Predict implements Executor.
 func (e *LayerwiseExecutor) Predict(ctx context.Context, x *tensor.Tensor) ([]int, error) {
-	sp := e.tr.Span("layerwise.predict", CatEngine)
-	defer sp.End()
-	logits, err := e.Logits(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	return predict(logits)
+	return predict(ctx, e, e.tr, "layerwise.predict", x)
 }
 
 // Stats implements Executor.

@@ -19,7 +19,7 @@ import (
 type module struct {
 	name     string
 	layer    nn.Layer // nil for containers
-	spanName string   // profiling-mode per-op span name (leaves only)
+	spanName string   // per-op span name (leaves only)
 	children []*module
 	// input marks the leaf of the network's first layer, which reads the
 	// network input: its backward accumulates parameter gradients only.
@@ -28,8 +28,8 @@ type module struct {
 
 // forward recursively dispatches through the tree, counting leaf and
 // container dispatches like Torch's nn.Sequential updateOutput chain. A
-// non-nil hook is consulted before every module dispatch; a non-nil tr
-// (profiling mode) wraps every leaf dispatch in a per-op span.
+// non-nil hook is consulted before every module dispatch; every leaf
+// dispatch opens a per-op span (tr.OpSpan).
 func (m *module) forward(x *tensor.Tensor, train bool, dispatches *int, hook OpHook, tr *obs.Tracer) (*tensor.Tensor, error) {
 	*dispatches++
 	if hook != nil {
@@ -38,10 +38,7 @@ func (m *module) forward(x *tensor.Tensor, train bool, dispatches *int, hook OpH
 		}
 	}
 	if m.layer != nil {
-		var sp obs.Span
-		if tr != nil {
-			sp = tr.Span(m.spanName, CatOp)
-		}
+		sp := tr.OpSpan(m.spanName, CatOp)
 		out, err := m.layer.Forward(x, train)
 		sp.End()
 		if err != nil {
@@ -70,11 +67,8 @@ func (m *module) backward(grad *tensor.Tensor, dispatches *int, hook OpHook, tr 
 		}
 	}
 	if m.layer != nil {
-		var sp obs.Span
-		if tr != nil {
-			sp = tr.Span(m.spanName, CatOp)
-		}
-		g, err := backwardOp(m.layer, grad, m.input)
+		sp := tr.OpSpan(m.spanName, CatOp)
+		g, err := nn.Backprop(m.layer, grad, !m.input)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("module %q: %w", m.name, err)
@@ -199,14 +193,8 @@ func (e *ModuleExecutor) TrainBatch(ctx context.Context, x *tensor.Tensor, label
 		return nn.LossResult{}, err
 	}
 	var d int
-	// optr is non-nil only in profiling mode: the tree walk then wraps
-	// every leaf dispatch in a per-op span.
-	var optr *obs.Tracer
-	if e.tr.ProfilingEnabled() {
-		optr = e.tr
-	}
 	fwd := e.tr.Span("module.forward", CatEngine)
-	logits, err := e.root.forward(x, true, &d, e.hook, optr)
+	logits, err := e.root.forward(x, true, &d, e.hook, e.tr)
 	fwd.End()
 	if err != nil {
 		return nn.LossResult{}, err
@@ -219,7 +207,7 @@ func (e *ModuleExecutor) TrainBatch(ctx context.Context, x *tensor.Tensor, label
 		return nn.LossResult{}, err
 	}
 	bwd := e.tr.Span("module.backward", CatEngine)
-	_, err = e.root.backward(res.Grad, &d, e.hook, optr)
+	_, err = e.root.backward(res.Grad, &d, e.hook, e.tr)
 	bwd.End()
 	if err != nil {
 		return nn.LossResult{}, err
@@ -246,11 +234,7 @@ func (e *ModuleExecutor) Logits(ctx context.Context, x *tensor.Tensor) (out *ten
 		return nil, err
 	}
 	var d int
-	var optr *obs.Tracer
-	if e.tr.ProfilingEnabled() {
-		optr = e.tr
-	}
-	out, err = e.root.forward(x, false, &d, e.hook, optr)
+	out, err = e.root.forward(x, false, &d, e.hook, e.tr)
 	if err != nil {
 		return nil, err
 	}
@@ -260,13 +244,7 @@ func (e *ModuleExecutor) Logits(ctx context.Context, x *tensor.Tensor) (out *ten
 
 // Predict implements Executor.
 func (e *ModuleExecutor) Predict(ctx context.Context, x *tensor.Tensor) ([]int, error) {
-	sp := e.tr.Span("module.predict", CatEngine)
-	defer sp.End()
-	logits, err := e.Logits(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	return predict(logits)
+	return predict(ctx, e, e.tr, "module.predict", x)
 }
 
 // Stats implements Executor.

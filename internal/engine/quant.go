@@ -22,6 +22,10 @@ var ErrInferenceOnly = errors.New("engine: int8 executor is inference-only")
 type QuantExecutor struct {
 	net  *nn.Network
 	qnet *nn.QuantizedNetwork
+	// opNames are the per-stage op span names, built once so the
+	// dispatch loop allocates nothing. Quantize maps layer i of net to
+	// stage i under the same name.
+	opNames []string
 
 	tr        *obs.Tracer
 	dispInfer *obs.Counter
@@ -42,12 +46,16 @@ func NewQuant(net *nn.Network, tr *obs.Tracer) (*QuantExecutor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &QuantExecutor{
+	q := &QuantExecutor{
 		net:       net,
 		qnet:      qnet,
 		tr:        tr,
 		dispInfer: tr.Counter(CounterInferDispatch("int8")),
-	}, nil
+	}
+	for _, l := range net.Layers() {
+		q.opNames = append(q.opNames, OpSpanName("int8", l.Name()))
+	}
+	return q, nil
 }
 
 // Name implements Executor.
@@ -76,24 +84,21 @@ func (q *QuantExecutor) Logits(ctx context.Context, x *tensor.Tensor) (out *tens
 	}
 	sp := q.tr.Span("int8.forward", CatEngine)
 	defer sp.End()
-	profiling := q.tr.ProfilingEnabled()
 	// The callback fires before each stage runs, so a stage's op span
 	// runs from its own callback to the next one (or the end of the
 	// pass), opened after the op hook as in the float executors.
 	var stageSp obs.Span
-	out, err = q.qnet.ForwardWithHook(x, func(stage string) error {
-		if profiling {
-			stageSp.End()
-			stageSp = obs.Span{}
-		}
+	stage := 0
+	out, err = q.qnet.ForwardWithHook(x, func(string) error {
+		stageSp.End()
+		stageSp = obs.Span{}
 		if q.hook != nil {
 			if err := q.hook("int8.forward"); err != nil {
 				return err
 			}
 		}
-		if profiling {
-			stageSp = q.tr.Span(OpSpanName("int8", stage), CatOp)
-		}
+		stageSp = q.tr.OpSpan(q.opNames[stage], CatOp)
+		stage++
 		return nil
 	})
 	stageSp.End()
@@ -106,13 +111,7 @@ func (q *QuantExecutor) Logits(ctx context.Context, x *tensor.Tensor) (out *tens
 
 // Predict implements Executor.
 func (q *QuantExecutor) Predict(ctx context.Context, x *tensor.Tensor) ([]int, error) {
-	sp := q.tr.Span("int8.predict", CatEngine)
-	defer sp.End()
-	logits, err := q.Logits(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	return predict(logits)
+	return predict(ctx, q, q.tr, "int8.predict", x)
 }
 
 // Stats implements Executor.

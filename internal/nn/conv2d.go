@@ -257,7 +257,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 
 // backward accumulates dW and dB and, with wantIn, returns dX. Without
 // it the dX GEMM, its col2im and the gradIn buffer are skipped; dW and
-// dB are bit-identical either way (see BackwardParams).
+// dB are bit-identical either way (see Backprop).
 func (c *Conv2D) backward(gradOut *tensor.Tensor, wantIn bool) (*tensor.Tensor, error) {
 	if c.lastInput == nil {
 		return nil, fmt.Errorf("conv2d %q: %w", c.name, ErrNoForward)

@@ -7,11 +7,10 @@
 // input tensor and caches whatever it needs for the corresponding
 // Backward, which consumes the gradient of the loss with respect to the
 // layer output and returns the gradient with respect to the layer input,
-// accumulating parameter gradients along the way; BackwardParams
-// accumulates the same parameter gradients for a layer whose input
-// gradient nothing reads, and may skip computing it. Layers are stateful
-// and not safe for concurrent use; each training run owns its own
-// network.
+// accumulating parameter gradients along the way; Backprop, told that
+// nothing reads a layer's input gradient, accumulates the same parameter
+// gradients and may skip computing it. Layers are stateful and not safe
+// for concurrent use; each training run owns its own network.
 package nn
 
 import (
@@ -56,8 +55,8 @@ type Layer interface {
 	// becomes the identity).
 	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	// Backward consumes ∂loss/∂output and returns ∂loss/∂input,
-	// accumulating parameter gradients. BackwardParams is the variant
-	// for a layer whose input gradient nothing reads.
+	// accumulating parameter gradients. Backprop wraps it for callers
+	// that may not read ∂loss/∂input.
 	Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns the layer's learnable parameters (possibly empty).
 	Params() []*Param
@@ -70,20 +69,21 @@ type Layer interface {
 	FLOPsPerSample(in []int) int64
 }
 
-// BackwardParams accumulates l's parameter gradients for gradOut exactly
-// as l.Backward does, bit for bit, but need not compute ∂loss/∂input.
-// Executors call it for the layers that read the network input, whose
-// input gradient has no consumer: Conv2D then skips its dX GEMM, col2im
-// and gradient buffer, and any other layer runs Backward and drops the
-// result. Callers that need the input gradient, such as the attacks
-// through Network.Backward, call Backward.
-func BackwardParams(l Layer, gradOut *tensor.Tensor) error {
+// Backprop runs l's gradient op for gradOut. With wantIn it is
+// l.Backward. Without it, it accumulates the same parameter gradients,
+// bit for bit, and returns a nil input gradient: callers pass false for
+// the layers that read the network input, whose input gradient has no
+// consumer, and Conv2D then skips its dX GEMM, col2im and gradient
+// buffer while any other layer runs Backward and drops the result.
+func Backprop(l Layer, gradOut *tensor.Tensor, wantIn bool) (*tensor.Tensor, error) {
 	if c, ok := l.(*Conv2D); ok {
-		_, err := c.backward(gradOut, false)
-		return err
+		return c.backward(gradOut, wantIn)
 	}
-	_, err := l.Backward(gradOut)
-	return err
+	gradIn, err := l.Backward(gradOut)
+	if !wantIn {
+		gradIn = nil
+	}
+	return gradIn, err
 }
 
 // shapeEq reports whether two shape slices are identical.

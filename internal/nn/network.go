@@ -110,19 +110,14 @@ func (n *Network) Backward(gradLogits *tensor.Tensor) (*tensor.Tensor, error) {
 	return n.backward(gradLogits, true)
 }
 
-// backward is Backward; without wantIn the first layer runs
-// BackwardParams and the result is nil.
+// backward is Backward; without wantIn the first layer skips its input
+// gradient (Backprop) and the result is nil.
 func (n *Network) backward(gradLogits *tensor.Tensor, wantIn bool) (*tensor.Tensor, error) {
 	cur := gradLogits
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		l := n.layers[i]
 		var err error
-		if i == 0 && !wantIn {
-			cur, err = nil, BackwardParams(l, cur)
-		} else {
-			cur, err = l.Backward(cur)
-		}
-		if err != nil {
+		if cur, err = Backprop(l, cur, wantIn || i > 0); err != nil {
 			return nil, fmt.Errorf("network %q: backward %q: %w", n.name, l.Name(), err)
 		}
 	}
@@ -136,8 +131,8 @@ func (n *Network) Loss(logits *tensor.Tensor, labels []int) (LossResult, error) 
 
 // TrainStep runs forward, loss and backward for one mini-batch and returns
 // the loss result. Gradients accumulate into Params; callers step an
-// optimizer afterwards. The first layer runs BackwardParams, so the
-// input gradient, which nothing here reads, is skipped where it can be.
+// optimizer afterwards. The first layer's input gradient, which nothing
+// here reads, is skipped where it can be (Backprop).
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (LossResult, error) {
 	logits, err := n.Forward(x, true)
 	if err != nil {

@@ -100,22 +100,6 @@ func (q *QuantizedNetwork) ForwardWithHook(x *tensor.Tensor, hook func(stage str
 	return cur, nil
 }
 
-// Predict returns argmax class predictions for a batch.
-func (q *QuantizedNetwork) Predict(x *tensor.Tensor) ([]int, error) {
-	logits, err := q.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	if logits.Dims() != 2 {
-		return nil, fmt.Errorf("quantized %q: %w: logits %v", q.name, ErrShape, logits.Shape())
-	}
-	out := make([]int, logits.Dim(0))
-	for i := range out {
-		out[i] = tensor.ArgMaxRow(logits, i)
-	}
-	return out, nil
-}
-
 // ReleaseBuffers drops persistent activation buffers in every stage.
 func (q *QuantizedNetwork) ReleaseBuffers() {
 	for _, s := range q.stages {
@@ -199,9 +183,6 @@ func newQuantDense(d *Dense) *QuantDense {
 }
 
 func (d *QuantDense) Name() string { return d.name }
-
-// WeightScale exposes the frozen weight scale (tests and reports).
-func (d *QuantDense) WeightScale() float64 { return d.wp.Scale }
 
 func (d *QuantDense) ReleaseBuffers() {
 	d.xq = nil
@@ -288,9 +269,6 @@ func newQuantConv2D(c *Conv2D) *QuantConv2D {
 }
 
 func (c *QuantConv2D) Name() string { return c.name }
-
-// WeightScale exposes the frozen weight scale (tests and reports).
-func (c *QuantConv2D) WeightScale() float64 { return c.wp.Scale }
 
 func (c *QuantConv2D) ReleaseBuffers() {
 	c.xq = nil

@@ -88,18 +88,16 @@ func BenchmarkDisabledCounter(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledProfilingCheck measures the per-pass profiling-mode
-// test the executors run on a live tracer with profiling off — the cost
-// the profiler adds to every forward/backward pass when not profiling.
-func BenchmarkDisabledProfilingCheck(b *testing.B) {
+// BenchmarkDisabledOpSpan measures the op span open/close pair the
+// executors make around every layer dispatch on a live tracer with
+// profiling off — the cost the profiler adds to a dispatch when not
+// profiling.
+func BenchmarkDisabledOpSpan(b *testing.B) {
 	tr := obs.New()
-	n := 0
 	for i := 0; i < b.N; i++ {
-		if tr.ProfilingEnabled() {
-			n++
-		}
+		tr.OpSpan("x", "op").End()
 	}
-	if n != 0 {
+	if tr.SpanCount() != 0 {
 		b.Fatal("profiling unexpectedly enabled")
 	}
 }
@@ -162,7 +160,7 @@ func TestDisabledTracerOverheadUnderTwoPercent(t *testing.T) {
 
 	// Measure the unit cost of the disabled instrumentation primitives:
 	// the nil span pair and counter add the hot paths always pay, the
-	// profiling-mode test each executor pass makes on a live tracer with
+	// op span pair each layer dispatch opens on a live tracer with
 	// profiling off (the default), the nil event emission the loop
 	// boundaries pay without -events, the nil-sampler reads the
 	// monitor-aware paths pay without -monitor, and the nil current-span
@@ -177,9 +175,7 @@ func TestDisabledTracerOverheadUnderTwoPercent(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		tr.Span("x", "t").End()
 		c.Add(1)
-		if live.ProfilingEnabled() {
-			profiled++
-		}
+		live.OpSpan("x", "op").End()
 		tr.Emit("x", nil)
 		if _, ok := sm.Latest(); ok {
 			profiled++
@@ -189,14 +185,14 @@ func TestDisabledTracerOverheadUnderTwoPercent(t *testing.T) {
 		}
 	}
 	perOp := time.Since(start) / ops
-	if profiled != 0 {
+	if profiled != 0 || live.SpanCount() != 0 {
 		t.Fatal("profiling unexpectedly enabled")
 	}
 
-	// An instrumented iteration performs ~6 span pairs, ~6 counter adds
-	// and a few profiling checks across executor + suite + data layers;
-	// charge 100 to leave two orders of magnitude of headroom against
-	// scheduling noise.
+	// An instrumented iteration performs ~6 span pairs and ~6 counter
+	// adds across executor + suite + data layers, plus two op span pairs
+	// per layer (forward and backward dispatch); charge 100 to leave
+	// headroom against scheduling noise.
 	const opsPerIter = 100
 	overhead := perOp * opsPerIter
 	limit := perIter / 50 // 2%

@@ -42,8 +42,8 @@ func (t *Tracer) Spans() []SpanInfo {
 	return out
 }
 
-// EnableProfiling switches the tracer into profiling mode: executors emit
-// per-op spans, and every span open/close samples runtime.MemStats so
+// EnableProfiling switches the tracer into profiling mode: OpSpan opens
+// real spans, and every span open/close samples runtime.MemStats so
 // span records carry allocation deltas. Profiling costs real time
 // (ReadMemStats briefly stops the world), so it is opt-in on top of
 // tracing; a nil tracer ignores the call.
@@ -54,11 +54,15 @@ func (t *Tracer) EnableProfiling() {
 	t.profiling.Store(true)
 }
 
-// ProfilingEnabled reports whether profiling mode is on. Safe on a nil
-// tracer (false) — the per-op fast path in the executors is a nil check
-// plus one atomic load.
-func (t *Tracer) ProfilingEnabled() bool {
-	return t != nil && t.profiling.Load()
+// OpSpan opens a per-op dispatch span: Span in profiling mode, the zero
+// Span otherwise. One span per op dispatch would dominate the span
+// buffer on long sweeps, so executors open every dispatch through here
+// and pay a nil check plus one atomic load when not profiling.
+func (t *Tracer) OpSpan(name, cat string) Span {
+	if t == nil || !t.profiling.Load() {
+		return Span{}
+	}
+	return t.Span(name, cat)
 }
 
 // memSample returns the allocator's monotonic total-allocated counter

@@ -47,8 +47,8 @@ func TestNilTracerSpanAndProfilingSafe(t *testing.T) {
 		t.Fatal("nil tracer returned spans")
 	}
 	tr.EnableProfiling()
-	if tr.ProfilingEnabled() {
-		t.Fatal("nil tracer reports profiling enabled")
+	if tr.OpSpan("x", "op").End() != 0 || tr.Spans() != nil {
+		t.Fatal("nil tracer recorded an op span")
 	}
 	tr.Emit("x", nil)
 	if tr.Events() != nil || tr.EventsDropped() != 0 {
@@ -64,11 +64,12 @@ func TestNilTracerSpanAndProfilingSafe(t *testing.T) {
 // allocates must record a positive allocation delta.
 func TestProfilingModeSamplesAlloc(t *testing.T) {
 	tr := obs.New()
-	tr.EnableProfiling()
-	if !tr.ProfilingEnabled() {
-		t.Fatal("profiling not enabled")
+	tr.OpSpan("off", "op").End()
+	if tr.SpanCount() != 0 {
+		t.Fatal("op span recorded before profiling mode")
 	}
-	sp := tr.Span("alloc", "t")
+	tr.EnableProfiling()
+	sp := tr.OpSpan("alloc", "t")
 	sink = make([]byte, 1<<20)
 	sp.End()
 	spans := tr.Spans()

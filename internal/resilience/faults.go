@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -192,9 +193,11 @@ func (in *Injector) Injected() int64 {
 	return in.fired
 }
 
-// OpError is the engine.OpHook the suite installs: it fails or delays op
-// dispatches per the armed op faults.
-func (in *Injector) OpError(site string) error {
+// OpError is the engine.OpHook the suite installs, bound to the run's
+// context: it fails or delays op dispatches per the armed op faults. A
+// delay ends early with ctx's error when ctx is done, so a slow fault
+// cannot hold a run past its deadline.
+func (in *Injector) OpError(ctx context.Context, site string) error {
 	if in == nil {
 		return nil
 	}
@@ -213,7 +216,9 @@ func (in *Injector) OpError(site string) error {
 		case KindSlow:
 			f.remaining--
 			in.fired++
-			time.Sleep(f.Delay)
+			if err := Sleep(ctx, f.Delay); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -85,16 +86,16 @@ func TestInjectorFiringBudget(t *testing.T) {
 	}
 	in := p.For("cell")
 	in.BeginIteration(3)
-	if err := in.OpError("graph.forward"); err != nil {
+	if err := in.OpError(context.Background(), "graph.forward"); err != nil {
 		t.Fatalf("fired at wrong iteration: %v", err)
 	}
 	in.BeginIteration(4)
-	err = in.OpError("graph.forward")
+	err = in.OpError(context.Background(), "graph.forward")
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected at iteration 4, got %v", err)
 	}
 	// Budget spent: replaying the same iteration (post-rollback) is clean.
-	if err := in.OpError("graph.forward"); err != nil {
+	if err := in.OpError(context.Background(), "graph.forward"); err != nil {
 		t.Fatalf("budget exhausted but fired again: %v", err)
 	}
 	if got := in.Injected(); got != 1 {
@@ -109,10 +110,10 @@ func TestInjectorSiteFilter(t *testing.T) {
 	}
 	in := p.For("cell")
 	in.BeginIteration(0)
-	if err := in.OpError("module.forward"); err != nil {
+	if err := in.OpError(context.Background(), "module.forward"); err != nil {
 		t.Fatalf("wrong site fired: %v", err)
 	}
-	if err := in.OpError("module.backward"); !errors.Is(err, ErrInjected) {
+	if err := in.OpError(context.Background(), "module.backward"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("target site did not fire: %v", err)
 	}
 }
@@ -191,7 +192,7 @@ func TestInjectorSlow(t *testing.T) {
 	in := p.For("cell")
 	in.BeginIteration(0)
 	start := time.Now()
-	if err := in.OpError("graph.forward"); err != nil {
+	if err := in.OpError(context.Background(), "graph.forward"); err != nil {
 		t.Fatalf("slow fault returned error: %v", err)
 	}
 	if d := time.Since(start); d < 10*time.Millisecond {
@@ -202,10 +203,36 @@ func TestInjectorSlow(t *testing.T) {
 	}
 }
 
+// TestInjectorSlowObeysContext: cancelling the run's context cuts a slow
+// fault's delay short and returns the context's error.
+func TestInjectorSlowObeysContext(t *testing.T) {
+	p, err := ParsePlan("slow@0:delay=1000h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := p.For("cell")
+	in.BeginIteration(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	done := make(chan error, 1)
+	go func() { done <- in.OpError(ctx, "graph.forward") }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled slow fault returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("slow fault ignored its cancelled context")
+	}
+	if got := in.Injected(); got != 1 {
+		t.Fatalf("Injected() = %d, want 1", got)
+	}
+}
+
 func TestNilInjectorIsNoop(t *testing.T) {
 	var in *Injector
 	in.BeginIteration(3)
-	if err := in.OpError("graph.forward"); err != nil {
+	if err := in.OpError(context.Background(), "graph.forward"); err != nil {
 		t.Fatal(err)
 	}
 	if loss, fired := in.PoisonLoss(1.5); fired || loss != 1.5 {

@@ -307,6 +307,24 @@ func TestDeadlineFailsJob(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutClampedToMax: a timeout_ms whose Duration would
+// overflow int64 nanoseconds runs under MaxJobTimeout, not under an
+// already expired deadline.
+func TestHugeTimeoutClampedToMax(t *testing.T) {
+	var left atomic.Int64
+	run := func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
+		d, _ := ctx.Deadline()
+		left.Store(int64(time.Until(d)))
+		return okRun(ctx, shard, j)
+	}
+	s, ts := newTestServer(t, Config{MaxJobTimeout: time.Minute, Run: run})
+	_, reply := submit(t, ts, `{"framework":"tf","dataset":"mnist","timeout_ms":9300000000000}`, "")
+	waitState(t, s, reply.ID, StateCompleted)
+	if d := time.Duration(left.Load()); d <= 0 || d > time.Minute {
+		t.Fatalf("job ran with %v left before its deadline, want (0s, 1m0s]", d)
+	}
+}
+
 // TestEventsStreamJSONL: the events endpoint replays the job's event log
 // in the -events file format, ending when the job completes.
 func TestEventsStreamJSONL(t *testing.T) {

@@ -70,8 +70,13 @@ func (s *Server) runJob(shard int, j *Job) {
 	}
 
 	timeout := s.cfg.JobTimeout
-	if j.Spec.TimeoutMS > 0 {
-		timeout = time.Duration(j.Spec.TimeoutMS) * time.Millisecond
+	if ms := j.Spec.TimeoutMS; ms > 0 {
+		// Clamp in milliseconds: past ~9.2e12 ms the Duration product
+		// would overflow into a negative, already expired deadline.
+		timeout = s.cfg.MaxJobTimeout
+		if ms <= timeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if timeout > s.cfg.MaxJobTimeout {
 		timeout = s.cfg.MaxJobTimeout

@@ -87,25 +87,6 @@ func MatMulAdd(dst, a, b *Tensor) error {
 	return nil
 }
 
-// MatMulEpilogue is MatMul with a fused epilogue: after the kernel
-// finishes a block of destination rows [lo, hi) it calls epi(lo, hi)
-// while those rows are still cache-hot. Fused ops (bias add, ReLU) use
-// this to avoid a second full pass over the output. epi may be nil. It
-// is invoked exactly once per row, possibly concurrently on disjoint
-// ranges.
-func MatMulEpilogue(dst, a, b *Tensor, epi func(lo, hi int)) error {
-	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
-		return fmt.Errorf("%w: matmul needs 2-D operands, got %v·%v->%v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmul %v·%v->%v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	GemmEpilogue(dst.data, a.data, b.data, m, k, n, false, epi)
-	return nil
-}
-
 // MatMulTransA computes C = Aᵀ·B where A is k×m, B is k×n and dst is m×n.
 func MatMulTransA(dst, a, b *Tensor) error {
 	k, m := a.shape[0], a.shape[1]
@@ -136,9 +117,12 @@ func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 	GemmEpilogue(c, a, b, m, k, n, accumulate, nil)
 }
 
-// GemmEpilogue is Gemm with a per-row-block epilogue hook; see
-// MatMulEpilogue. epi runs on the worker that produced the rows, right
-// after they are complete.
+// GemmEpilogue is Gemm with a per-row-block epilogue hook: after the
+// kernel finishes a block of destination rows [lo, hi) it calls
+// epi(lo, hi) on the worker that produced them, while they are still
+// cache-hot, so fused ops (bias add, ReLU) avoid a second full pass over
+// the output. epi may be nil. It is invoked exactly once per row,
+// possibly concurrently on disjoint ranges.
 func GemmEpilogue(c, a, b []float64, m, k, n int, accumulate bool, epi func(lo, hi int)) {
 	checkGemm(c, a, b, m*n, m*k, k*n)
 	g := gemmArgs{c: c, n: n, a: a, ars: k, aks: 1, m: m, k: k}

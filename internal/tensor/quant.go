@@ -54,9 +54,6 @@ func (p QuantParams) Quantize(v float64) int8 {
 	return int8(q)
 }
 
-// Dequantize maps one int8 code back to its real-valued representative.
-func (p QuantParams) Dequantize(q int8) float64 { return p.Scale * float64(q) }
-
 // QuantizeInt8 quantizes src into dst element-wise. len(dst) must be at
 // least len(src).
 func QuantizeInt8(dst []int8, src []float64, p QuantParams) {

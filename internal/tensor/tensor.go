@@ -147,16 +147,6 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// CopyFrom copies the contents of src into t. The shapes must have equal
-// volume (shapes themselves may differ; this is a flat copy).
-func (t *Tensor) CopyFrom(src *Tensor) error {
-	if len(t.data) != len(src.data) {
-		return fmt.Errorf("%w: copy from len %d to len %d", ErrShape, len(src.data), len(t.data))
-	}
-	copy(t.data, src.data)
-	return nil
-}
-
 // ShapeIs reports whether t's shape equals dims. Unlike comparing against
 // Shape() it allocates nothing, so buffer-reuse checks can run per
 // iteration for free.
