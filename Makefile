@@ -7,7 +7,6 @@
 # the fault grammar.
 
 GO ?= go
-GOFMT ?= gofmt
 
 .PHONY: check vet build test race kernels obs-overhead chaos fuzz infer-gate serve-smoke perfbench-check queue-386 microbench trace-demo clean
 
@@ -18,7 +17,7 @@ check: vet build test race kernels obs-overhead chaos fuzz infer-gate serve-smok
 # gofmt would change fails the target.
 vet:
 	$(GO) vet ./...
-	@unformatted=$$($(GOFMT) -l $$(find . -path './.*' -prune -o -name '*.go' -print)); \
+	@unformatted=$$(gofmt -l $$(find . -path './.*' -prune -o -name '*.go' -print)); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
