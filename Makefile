@@ -3,8 +3,8 @@
 # suite, the observability overhead guard that proves the disabled
 # tracer costs <2% of a training iteration, the chaos suite that
 # exercises fault injection, divergence recovery, panic conversion and
-# checkpoint/resume under the race detector, and a short fuzz run of
-# the fault grammar.
+# checkpoint/resume under the race detector, and short fuzz runs of
+# the fault grammar and of journal replay.
 
 GO ?= go
 
@@ -47,12 +47,15 @@ race:
 # positions — plus worker-count independence, the lowering fast paths,
 # the Conv2D/Dense layers (fused ReLU epilogue included) and, in
 # internal/nn, the Activation, Pool2D and LRN layers against their
-# scalar references in layer_ref_test.go. The second run builds with
-# -tags noasm, which leaves the amd64 assembly out, so the portable
-# kernel is the only path and must pass on its own.
+# scalar references in layer_ref_test.go; every int8 GEMM kernel (VNNI,
+# AVX2, portable) against the int32 reference loop; and, in
+# internal/engine, the int8 column's logits against their golden
+# digests. The second run builds with -tags noasm, which leaves the
+# amd64 assembly out, so the portable kernels are the only path and must
+# pass on their own.
 kernels:
-	$(GO) test -count=1 -run 'Kernel|Workers|Lowering|LayersMatch|GemmInt8' ./internal/tensor/ ./internal/nn/
-	$(GO) test -count=1 -tags noasm -run 'Kernel|Workers|Lowering|LayersMatch|GemmInt8' ./internal/tensor/ ./internal/nn/
+	$(GO) test -count=1 -run 'Kernel|Workers|Lowering|LayersMatch|GemmInt8' ./internal/tensor/ ./internal/nn/ ./internal/engine/
+	$(GO) test -count=1 -tags noasm -run 'Kernel|Workers|Lowering|LayersMatch|GemmInt8' ./internal/tensor/ ./internal/nn/ ./internal/engine/
 
 # The acceptance guard from internal/obs: the nil-tracer fast path must
 # stay under 2% of a training iteration, and the disabled-primitive
@@ -71,13 +74,17 @@ chaos:
 		-run 'Chaos|Fault|Inject|Panic|Resume|Cancel|Checkpoint|Guard|Diverge|Recover|Backoff|Plan' \
 		./internal/resilience/ ./internal/core/ ./internal/engine/ ./internal/tensor/
 
-# Native fuzzing of the -faults grammar, which POST /jobs accepts from
-# the network: no input may panic ParsePlan, and every plan it accepts
-# must hold the invariants FuzzParsePlan checks. The seed corpus is in
-# internal/resilience/testdata/fuzz/FuzzParsePlan; go test writes any
-# failing input there too.
+# Native fuzzing, 10 s per target, of what the daemon reads from
+# outside: the -faults grammar, which POST /jobs accepts from the
+# network (no input may panic ParsePlan, and every plan it accepts must
+# hold the invariants FuzzParsePlan checks), then journal replay, which
+# reads a file a crash may have torn (FuzzReplayJournal: no panic or
+# error, valid and ordered pending jobs, compaction changes nothing).
+# The seed corpora are in testdata/fuzz/<target> of each package; go
+# test writes any failing input there too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/resilience/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 10s ./internal/server/
 
 # Inference-workload gates, run fresh (-count=1): the quantization
 # property tests (round-trip bound, saturation, int8 GEMM tolerance),

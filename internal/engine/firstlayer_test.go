@@ -14,14 +14,15 @@ import (
 )
 
 // TestTrainBatchFirstLayerParamsOnly: every executor runs the layer that
-// reads the network input through nn.BackwardParams, skipping an input
-// gradient nothing reads. On the six paper networks and the ResNet, one
-// TrainBatch (and one Network.TrainStep) must leave every parameter
-// gradient bit-identical to Forward, Loss and Backward on an identically
-// seeded copy; the hook must see the same dispatches as before (one
-// backward per layer, node or module, and the forward schedule Logits
-// runs), the traced counter must equal Stats().TrainDispatches, and
-// Network.Backward must still return the input gradient.
+// reads the network input through nn.Backprop without wantIn, skipping
+// an input gradient nothing reads. On the six paper networks and the
+// ResNet, one TrainBatch (and one Network.TrainStep) must leave every
+// parameter gradient bit-identical to Forward, Loss and Backward on an
+// identically seeded copy; the hook must see the same dispatches as
+// before (one backward per layer, node or module, and the forward
+// schedule Logits runs), the traced counter must equal
+// Stats().TrainDispatches, and Network.Backward must still return the
+// input gradient.
 func TestTrainBatchFirstLayerParamsOnly(t *testing.T) {
 	type build func(seed uint64) (*nn.Network, error)
 	nets := map[string]build{}

@@ -230,12 +230,7 @@ func (d *QuantDense) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 type QuantConv2D struct {
 	name string
 	geom tensor.ConvGeom
-	// kPad is the reduction length: C·KH·KW rounded up to the vector
-	// dot kernel's 16-element block where that kernel runs. The weights
-	// are zero past C·KH·KW, so those terms add nothing to an integer
-	// sum, and the kernel never falls back to its scalar tail.
-	kPad int
-	wq   []int8 // [OutC, kPad]
+	wq   []int8 // [OutC, C·KH·KW]
 	wp   tensor.QuantParams
 	bias []float64
 
@@ -254,18 +249,10 @@ func newQuantConv2D(c *Conv2D) *QuantConv2D {
 	c.ApplyMask()
 	w := c.weight.Value.Data()
 	p := tensor.ChooseQuantParams(w)
-	g := c.geom
-	kVol := g.InC * g.KH * g.KW
-	kPad := kVol
-	if tensor.HasInt8Kernel() {
-		kPad = (kVol + 15) &^ 15
-	}
-	wq := make([]int8, g.OutC*kPad)
-	for oc := 0; oc < g.OutC; oc++ {
-		tensor.QuantizeInt8(wq[oc*kPad:oc*kPad+kVol], w[oc*kVol:(oc+1)*kVol], p)
-	}
+	wq := make([]int8, len(w))
+	tensor.QuantizeInt8(wq, w, p)
 	bias := append([]float64(nil), c.bias.Value.Data()...)
-	return &QuantConv2D{name: c.Name(), geom: g, kPad: kPad, wq: wq, wp: p, bias: bias}
+	return &QuantConv2D{name: c.Name(), geom: c.geom, wq: wq, wp: p, bias: bias}
 }
 
 func (c *QuantConv2D) Name() string { return c.name }
@@ -307,28 +294,19 @@ func (c *QuantConv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	bias := c.bias
 	wq := c.wq
 	xq := c.xq
-	kPad := c.kPad
-	if len(c.rows) != planeOut*kPad {
-		c.rows = make([]int8, planeOut*kPad)
+	if len(c.rows) != planeOut*kVol {
+		c.rows = make([]int8, planeOut*kVol)
 		c.acc = make([]int32, g.OutC*planeOut)
 	}
 	tensor.ParallelFor(n, func(lo, hi int) {
 		rows, acc := c.rows, c.acc
 		if hi-lo < n { // one of several concurrent chunks
-			rows = make([]int8, planeOut*kPad)
+			rows = make([]int8, planeOut*kVol)
 			acc = make([]int32, g.OutC*planeOut)
 		}
 		for i := lo; i < hi; i++ {
-			tensor.Im2RowInt8(rows[:planeOut*kVol], xq[i*imgLen:(i+1)*imgLen], g)
-			if kPad != kVol {
-				// Spread the rows to stride kPad, last first so no row
-				// is overwritten before it moves. The gaps keep stale
-				// values: they meet only the weights' zero padding.
-				for r := planeOut - 1; r >= 0; r-- {
-					copy(rows[r*kPad:r*kPad+kVol], rows[r*kVol:(r+1)*kVol])
-				}
-			}
-			tensor.GemmInt8TransB(acc, wq, rows, g.OutC, kPad, planeOut)
+			tensor.Im2RowInt8(rows, xq[i*imgLen:(i+1)*imgLen], g)
+			tensor.GemmInt8TransB(acc, wq, rows, g.OutC, kVol, planeOut)
 			dst := od[i*outLen : (i+1)*outLen]
 			for oc := 0; oc < g.OutC; oc++ {
 				b := bias[oc]

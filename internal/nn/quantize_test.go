@@ -7,14 +7,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestQuantConvPaddedReductionMatchesUnpadded: QuantConv2D pads its
-// reduction to the int8 kernel's block with zero weights, and the gaps
-// between its spread rows keep stale values that meet only those zero
-// weights; its outputs must equal, bit for bit, the unpadded lowering and
-// GEMM over C·KH·KW followed by the same dequantization, for reduction
-// lengths below, between and on block multiples, at batch 1 and with
-// concurrent sample chunks.
-func TestQuantConvPaddedReductionMatchesUnpadded(t *testing.T) {
+// TestQuantConvMatchesLoweredGemm: QuantConv2D's outputs must equal, bit
+// for bit, the lowering and int8 GEMM over C·KH·KW run on their own
+// followed by the same dequantization, for reduction lengths below,
+// between and on the vector kernels' block multiples (the GEMM reads
+// every k tail itself, so the layer spreads no rows), at batch 1 and
+// with concurrent sample chunks.
+func TestQuantConvMatchesLoweredGemm(t *testing.T) {
 	cfgs := []Conv2DConfig{
 		{Name: "k25", InC: 1, InH: 9, InW: 9, OutC: 5, Kernel: 5, Stride: 1, Pad: 2},
 		{Name: "k27", InC: 3, InH: 7, InW: 8, OutC: 4, Kernel: 3, Stride: 2, Pad: 1},

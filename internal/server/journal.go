@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,11 +24,16 @@ import (
 //
 //	{"op":"submit","id":"j-7","client":"c1","spec":{...}}
 //	{"op":"state","id":"j-7","state":"completed"}
+//	{"op":"seq","id":"j-9"}
 //
-// Writes are appended under a lock and fsynced per record: a submit is
-// acknowledged to the client only after it is durable. Replay tolerates a
-// torn tail — a crash mid-write leaves at most one partial last line,
-// which is skipped with a warning rather than poisoning recovery.
+// The seq record is written only by compaction: it names the highest job
+// ID assigned when that job is no longer pending, so IDs keep growing
+// across restarts. Writes are appended under a lock and fsynced per
+// record: a submit is acknowledged to the client only after it is
+// durable. Replay reads records of any length the server can write and
+// tolerates a torn tail — a crash mid-write leaves at most one partial
+// last line, which is skipped with a warning rather than poisoning
+// recovery, as is any other line replay cannot use.
 type journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -58,7 +65,8 @@ func openJournal(path string) (*journal, []pendingJob, int64, []string, error) {
 	if err != nil {
 		return nil, nil, 0, warnings, err
 	}
-	// Compaction: rewrite the journal as just the pending submits, then
+	// Compaction: rewrite the journal as the pending submits, preceded by
+	// a seq record when the highest ID assigned is not among them, then
 	// atomically replace the old file. Crash-safe at every point — the
 	// old journal stays authoritative until the rename.
 	tmp := path + ".tmp"
@@ -66,9 +74,15 @@ func openJournal(path string) (*journal, []pendingJob, int64, []string, error) {
 	if err != nil {
 		return nil, nil, 0, warnings, fmt.Errorf("server: compact journal: %w", err)
 	}
+	recs := make([]journalRecord, 0, len(pending)+1)
+	if n := len(pending); maxSeq > 0 && (n == 0 || jobSeq(pending[n-1].ID) < maxSeq) {
+		recs = append(recs, journalRecord{Op: "seq", ID: fmt.Sprintf("j-%d", maxSeq)})
+	}
 	for _, p := range pending {
 		spec := p.Spec
-		rec := journalRecord{Op: "submit", ID: p.ID, Client: p.Client, Spec: &spec}
+		recs = append(recs, journalRecord{Op: "submit", ID: p.ID, Client: p.Client, Spec: &spec})
+	}
+	for _, rec := range recs {
 		b, err := json.Marshal(rec)
 		if err != nil {
 			f.Close()
@@ -96,9 +110,15 @@ func openJournal(path string) (*journal, []pendingJob, int64, []string, error) {
 	return &journal{f: out, path: path}, pending, maxSeq, warnings, nil
 }
 
+// maxJournalRecord bounds the journal lines replay reads. The longest
+// record the server writes is under 13 MiB: a client key from a header
+// of at most 1 MiB and a spec from a body of at most 1 MiB, each byte
+// escaped by json.Marshal to at most six.
+const maxJournalRecord = 64 << 20
+
 // replayJournal scans the journal, returning jobs submitted but never
-// finished, the highest sequence number, and tolerated-corruption
-// warnings.
+// finished, the highest sequence number any record names, and
+// tolerated-corruption warnings.
 func replayJournal(path string) ([]pendingJob, int64, []string, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -116,22 +136,33 @@ func replayJournal(path string) ([]pendingJob, int64, []string, error) {
 		maxSeq   int64
 		lineNo   int
 	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
+	rd := bufio.NewReader(f)
+	for eof := false; !eof; {
+		raw, tooLong, err := readJournalLine(rd)
+		if eof = err == io.EOF; err != nil && !eof {
+			warnings = append(warnings, fmt.Sprintf("journal %s: stopped replay early: %v", filepath.Base(path), err))
+			break
+		}
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		if tooLong {
+			warnings = append(warnings, fmt.Sprintf("journal %s line %d: skipping record longer than %d bytes", filepath.Base(path), lineNo, maxJournalRecord))
+			continue
+		}
+		line := bytes.TrimSpace(raw)
+		if len(line) == 0 {
 			continue
 		}
 		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		if err := json.Unmarshal(line, &rec); err != nil {
 			// A torn tail is expected after a crash; corruption anywhere
 			// else is surprising but still must not block recovery of the
 			// remaining jobs.
 			warnings = append(warnings, fmt.Sprintf("journal %s line %d: skipping unparseable record: %v", filepath.Base(path), lineNo, err))
 			continue
 		}
+		// Every ID a record names was assigned, whatever else the record
+		// holds: new IDs must continue past it.
+		maxSeq = max(maxSeq, jobSeq(rec.ID))
 		switch rec.Op {
 		case "submit":
 			if rec.Spec == nil {
@@ -146,19 +177,14 @@ func replayJournal(path string) ([]pendingJob, int64, []string, error) {
 				order = append(order, rec.ID)
 			}
 			submits[rec.ID] = pendingJob{ID: rec.ID, Client: rec.Client, Spec: *rec.Spec}
-			if n := jobSeq(rec.ID); n > maxSeq {
-				maxSeq = n
-			}
 		case "state":
 			if terminal(rec.State) {
 				finished[rec.ID] = true
 			}
+		case "seq":
 		default:
 			warnings = append(warnings, fmt.Sprintf("journal %s line %d: unknown op %q, skipping", filepath.Base(path), lineNo, rec.Op))
 		}
-	}
-	if err := sc.Err(); err != nil {
-		warnings = append(warnings, fmt.Sprintf("journal %s: stopped replay early: %v", filepath.Base(path), err))
 	}
 	var pending []pendingJob
 	for _, id := range order {
@@ -168,6 +194,24 @@ func replayJournal(path string) ([]pendingJob, int64, []string, error) {
 	}
 	sort.SliceStable(pending, func(i, j int) bool { return jobSeq(pending[i].ID) < jobSeq(pending[j].ID) })
 	return pending, maxSeq, warnings, nil
+}
+
+// readJournalLine returns the next line of r, newline included, reading
+// lines of any length up to maxJournalRecord. A longer line is consumed
+// whole and reported as tooLong instead. err is io.EOF at the end of the
+// file, with the last line's bytes if it has no newline.
+func readJournalLine(r *bufio.Reader) (line []byte, tooLong bool, err error) {
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if !tooLong && len(line)+len(chunk) <= maxJournalRecord {
+			line = append(line, chunk...)
+		} else {
+			line, tooLong = nil, true
+		}
+		if err != bufio.ErrBufferFull {
+			return line, tooLong, err
+		}
+	}
 }
 
 // jobSeq extracts the numeric part of a "j-<n>" job ID (0 when foreign).

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,6 +115,93 @@ func TestJournalSkipsBadRecordsWithWarnings(t *testing.T) {
 	if len(warnings) != 3 {
 		t.Fatalf("warnings = %v, want 3 (no spec, invalid spec, unknown op)", warnings)
 	}
+}
+
+// reopen closes jl and opens the journal at path again, failing on an
+// error or a replay warning.
+func reopen(t *testing.T, jl *journal, path string) (*journal, []pendingJob, int64) {
+	t.Helper()
+	if err := jl.close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	jl, pending, maxSeq, warnings, err := openJournal(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if len(warnings) != 0 {
+		t.Fatalf("replay warnings: %v", warnings)
+	}
+	return jl, pending, maxSeq
+}
+
+// TestJournalReplaysOverlongRecord: a record longer than any fixed line
+// buffer (a 200 KiB client key of '<', which json.Marshal writes as six
+// bytes each, so the line is 1.2 MB) replays like any other, and so do
+// the records after it, on every restart.
+func TestJournalReplaysOverlongRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	jl, _, _, _, err := openJournal(path)
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
+	long := strings.Repeat("<", 200<<10)
+	for i, client := range []string{"c1", long, "c3"} {
+		if err := jl.submit(newJob(fmt.Sprintf("j-%d", i+1), testSpec(), client, false)); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	for restart := 1; restart <= 2; restart++ {
+		var pending []pendingJob
+		var maxSeq int64
+		jl, pending, maxSeq = reopen(t, jl, path)
+		if len(pending) != 3 || maxSeq != 3 || pending[1].Client != long || pending[2].ID != "j-3" {
+			t.Fatalf("restart %d: %d pending, maxSeq %d, want j-1..j-3 with the long key", restart, len(pending), maxSeq)
+		}
+	}
+	jl.close()
+}
+
+// TestJournalCompactionKeepsHighestID: compaction drops finished jobs
+// but not the highest ID assigned, so IDs of completed jobs, which clients
+// may already have read, are never assigned again, however many restarts
+// follow.
+func TestJournalCompactionKeepsHighestID(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	jl, _, _, _, err := openJournal(path)
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
+	for _, id := range []string{"j-1", "j-2", "j-3"} {
+		if err := jl.submit(newJob(id, testSpec(), "c", false)); err != nil {
+			t.Fatalf("submit %s: %v", id, err)
+		}
+	}
+	for _, id := range []string{"j-2", "j-3"} {
+		if err := jl.state(id, StateCompleted); err != nil {
+			t.Fatalf("state %s: %v", id, err)
+		}
+	}
+	for restart := 1; restart <= 3; restart++ {
+		var pending []pendingJob
+		var maxSeq int64
+		jl, pending, maxSeq = reopen(t, jl, path)
+		if len(pending) != 1 || pending[0].ID != "j-1" || maxSeq != 3 {
+			t.Fatalf("restart %d: pending %+v, maxSeq %d; want [j-1] and 3", restart, pending, maxSeq)
+		}
+	}
+	// With nothing pending the journal still remembers the high-water mark.
+	if err := jl.state("j-1", StateFailed); err != nil {
+		t.Fatalf("state j-1: %v", err)
+	}
+	for restart := 1; restart <= 2; restart++ {
+		var pending []pendingJob
+		var maxSeq int64
+		jl, pending, maxSeq = reopen(t, jl, path)
+		if len(pending) != 0 || maxSeq != 3 {
+			t.Fatalf("all finished, restart %d: pending %+v, maxSeq %d; want none and 3", restart, pending, maxSeq)
+		}
+	}
+	jl.close()
 }
 
 // TestServerRecoversJournaledJobs is the crash-safety contract end to

@@ -3,9 +3,10 @@
 package tensor
 
 // cpuGemmFeatures reports whether the host can run the AVX2+FMA and the
-// AVX-512F tile kernels, including OS support for YMM, opmask and ZMM
-// state. Implemented in gemm_tile_amd64.s via CPUID/XGETBV.
-func cpuGemmFeatures() (avx2fma, avx512 bool)
+// AVX-512F tile kernels and the AVX-512 VNNI int8 kernel, including OS
+// support for YMM, opmask and ZMM state. Implemented in
+// gemm_tile_amd64.s via CPUID/XGETBV.
+func cpuGemmFeatures() (avx2fma, avx512, vnni bool)
 
 // gemmTileAVX512 and gemmTileAVX2 are the FMA tile kernels; both follow
 // the contract documented in gemm_tile_amd64.s and at tileFMA.
@@ -36,7 +37,7 @@ func packStripTAVX512(dst, src *float64, idx *int64, k, cols int)
 //go:noescape
 func packStripTAVX2(dst, src *float64, idx *int64, k, cols int)
 
-var hasAVX2FMA, hasAVX512 = cpuGemmFeatures()
+var hasAVX2FMA, hasAVX512, hasVNNI = cpuGemmFeatures()
 
 // bestGemmKernel is the widest tile kernel the host runs.
 func bestGemmKernel() gemmKernel {

@@ -2,15 +2,17 @@
 
 #include "textflag.h"
 
-// func cpuGemmFeatures() (avx2fma, avx512 bool)
+// func cpuGemmFeatures() (avx2fma, avx512, vnni bool)
 //
 // avx2fma: the CPU advertises FMA, AVX and AVX2 and the OS saves XMM and
 // YMM state (OSXSAVE, XCR0 bits 1 and 2). avx512: additionally AVX-512F,
-// with the OS saving opmask and ZMM state (XCR0 bits 5, 6 and 7). CPUID
-// clobbers BX, which is caller-saved in Go assembly.
-TEXT ·cpuGemmFeatures(SB), NOSPLIT, $0-2
+// with the OS saving opmask and ZMM state (XCR0 bits 5, 6 and 7). vnni:
+// additionally AVX512BW (byte masks) and AVX512_VNNI. CPUID clobbers BX,
+// which is caller-saved in Go assembly.
+TEXT ·cpuGemmFeatures(SB), NOSPLIT, $0-3
 	MOVB $0, avx2fma+0(FP)
 	MOVB $0, avx512+1(FP)
+	MOVB $0, vnni+2(FP)
 
 	// Leaf 1: ECX bit 12 = FMA, bit 27 = OSXSAVE, bit 28 = AVX.
 	MOVL $1, AX
@@ -29,7 +31,8 @@ TEXT ·cpuGemmFeatures(SB), NOSPLIT, $0-2
 	CMPL AX, $6
 	JNE  done
 
-	// Leaf 7 subleaf 0: EBX bit 5 = AVX2, bit 16 = AVX-512F.
+	// Leaf 7 subleaf 0: EBX bit 5 = AVX2, bit 16 = AVX-512F, bit 30 =
+	// AVX512BW; ECX bit 11 = AVX512_VNNI.
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
@@ -42,6 +45,11 @@ TEXT ·cpuGemmFeatures(SB), NOSPLIT, $0-2
 	CMPL  R8, $0xe6
 	JNE   done
 	MOVB  $1, avx512+1(FP)
+	TESTL $(1<<30), BX
+	JZ    done
+	TESTL $(1<<11), CX
+	JZ    done
+	MOVB  $1, vnni+2(FP)
 
 done:
 	RET

@@ -2,8 +2,10 @@
 
 package tensor
 
-// dotInt8 falls back to the portable scalar reduction without the amd64
-// assembly (other architectures, or the noasm build tag). Results are
-// identical to the vector kernel: int32 integer accumulation is exact in
-// any order.
-func dotInt8(a, b []int8) int32 { return dotInt8Generic(a, b) }
+// Without the amd64 assembly (other architectures, or the noasm build
+// tag) only the portable int8 kernel exists.
+func bestInt8Kernel() int8Kernel { return int8Portable }
+
+func tileInt8Asm(int8Kernel, []int32, []int8, []int8, int, int, int, int) {
+	panic("tensor: no int8 tile kernel in this build")
+}

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -92,45 +94,146 @@ func naiveGemmInt8(a, b []int8, m, k, n int) []int32 {
 	return c
 }
 
-// TestGemmInt8ExactVsReference: the kernel (vector body + scalar tail +
-// worker-pool row split) must agree EXACTLY with the naive int32 loop —
-// integer accumulation has no rounding, so any deviation is a bug. The
-// shape sweep crosses the k<16 generic cutoff, the 16/32-byte vector
-// strides and their tails, and the parallel-row threshold; extreme
-// codes ±127 exercise the sign-extension path at full magnitude.
+// int8KernelsOnHost lists the int8 tile kernels this build and host can
+// run: every kernel up to the best one (a VNNI host runs AVX2 too).
+func int8KernelsOnHost() []int8Kernel {
+	var ks []int8Kernel
+	for k := int8Portable; k <= bestInt8Kernel(); k++ {
+		ks = append(ks, k)
+	}
+	return ks
+}
+
+// withInt8Kernel runs f with int8Kern forced to k.
+func withInt8Kernel(k int8Kernel, f func()) {
+	prev := int8Kern
+	int8Kern = k
+	defer func() { int8Kern = prev }()
+	f()
+}
+
+// int8Codes fills dst with random codes over the whole int8 domain,
+// with extra weight on the extremes ±127 and -128.
+func int8Codes(rng *RNG, dst []int8) {
+	for i := range dst {
+		switch rng.Intn(8) {
+		case 0:
+			dst[i] = QuantMaxInt8
+		case 1:
+			dst[i] = -QuantMaxInt8
+		case 2:
+			dst[i] = -128
+		default:
+			dst[i] = int8(rng.Intn(256) - 128)
+		}
+	}
+}
+
+// int8LayerShapes are the m×k×n int8 GEMMs of the TF MNIST and TF CIFAR
+// networks: convs as OutC × C·KH·KW × OutH·OutW, dense layers as batch ×
+// in × out, MNIST at batch 1 and 100, CIFAR at batch 10.
+var int8LayerShapes = [][3]int{
+	{32, 25, 784},     // MNIST conv1
+	{64, 800, 196},    // MNIST conv2
+	{1, 3136, 1024},   // MNIST fc1, batch 1
+	{100, 3136, 1024}, // MNIST fc1, batch 100
+	{1, 1024, 10},     // MNIST fc2, batch 1
+	{100, 1024, 10},   // MNIST fc2, batch 100
+	{64, 75, 1024},    // CIFAR conv1
+	{64, 1600, 225},   // CIFAR conv2
+	{10, 3136, 384},   // CIFAR fc1
+	{10, 384, 192},    // CIFAR fc2
+	{10, 192, 10},     // CIFAR fc3
+}
+
+// TestGemmInt8ExactVsReference: every int8 kernel the host runs agrees
+// EXACTLY with the naive int32 loop — integer sums have no rounding, so
+// any deviation is a bug. It covers the network layer shapes at
+// GOMAXPROCS 1 and 2 (row blocks split across workers), every k from 1
+// past two 64-byte VNNI blocks with m and n across the 4×4, 2×4 and 1×4
+// tile edges, operands that are all +127, all -127 or all -128 (the
+// largest products), and a reduction long enough that the int32 sum
+// wraps, which every kernel must wrap the same way as the loop.
 func TestGemmInt8ExactVsReference(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
-		m, k, n := 1+rng.Intn(24), 1+rng.Intn(100), 1+rng.Intn(12)
-		a := make([]int8, m*k)
-		b := make([]int8, n*k)
-		fill := func(dst []int8) {
-			for i := range dst {
-				switch rng.Intn(8) {
-				case 0:
-					dst[i] = QuantMaxInt8
-				case 1:
-					dst[i] = -QuantMaxInt8
-				default:
-					dst[i] = int8(rng.Intn(2*QuantMaxInt8+1) - QuantMaxInt8)
+	type problem struct {
+		m, k, n int
+		a, b    []int8
+		want    []int32
+	}
+	rng := NewRNG(0x1e8)
+	var probs []problem
+	add := func(m, k, n int, fill func(a, b []int8)) {
+		a, b := make([]int8, m*k), make([]int8, n*k)
+		fill(a, b)
+		probs = append(probs, problem{m, k, n, a, b, naiveGemmInt8(a, b, m, k, n)})
+	}
+	random := func(a, b []int8) { int8Codes(rng, a); int8Codes(rng, b) }
+	for _, s := range int8LayerShapes {
+		add(s[0], s[1], s[2], random)
+	}
+	layers := len(probs)
+	edges := []int{1, 2, 3, 4, 5, 7, 8, 9}
+	for k := 1; k <= 2*64+5; k++ {
+		add(edges[k%len(edges)], k, edges[(k/len(edges))%len(edges)], random)
+	}
+	for _, m := range edges {
+		for _, n := range edges {
+			add(m, 67, n, random)
+		}
+	}
+	for _, v := range [][2]int8{{127, 127}, {-127, 127}, {-127, -127}, {-128, -128}, {-128, 127}} {
+		for _, k := range []int{1, 15, 16, 17, 63, 64, 65, 200} {
+			add(5, k, 6, func(a, b []int8) {
+				for i := range a {
+					a[i] = v[0]
+				}
+				for i := range b {
+					b[i] = v[1]
+				}
+			})
+		}
+	}
+	add(3, 140000, 5, func(a, b []int8) { // 140000·127² > 2³¹
+		for i := range a {
+			a[i] = 127
+		}
+		for i := range b {
+			b[i] = 127 - int8(i%2)
+		}
+	})
+	if probs[len(probs)-1].want[0] >= 0 {
+		t.Fatal("the long reduction does not wrap")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, kern := range int8KernelsOnHost() {
+		withInt8Kernel(kern, func() {
+			for i, p := range probs {
+				for _, procs := range []int{1, 2} {
+					if procs == 2 && i >= layers {
+						break
+					}
+					runtime.GOMAXPROCS(procs)
+					// Every output must be written, and nothing past C:
+					// 16 guard elements follow it.
+					got := make([]int32, p.m*p.n+16)
+					for j := range got {
+						got[j] = -1 << 31
+					}
+					GemmInt8TransB(got, p.a, p.b, p.m, p.k, p.n)
+					for j := range got {
+						want := int32(-1 << 31)
+						if j < len(p.want) {
+							want = p.want[j]
+						}
+						if got[j] != want {
+							t.Fatalf("%s kernel, GOMAXPROCS %d, m=%d k=%d n=%d: c[%d] = %d, want %d",
+								kern, procs, p.m, p.k, p.n, j, got[j], want)
+						}
+					}
 				}
 			}
-		}
-		fill(a)
-		fill(b)
-		got := make([]int32, m*n)
-		GemmInt8TransB(got, a, b, m, k, n)
-		want := naiveGemmInt8(a, b, m, k, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Logf("seed %d m=%d k=%d n=%d: c[%d]=%d want %d", seed, m, k, n, i, got[i], want[i])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
+			t.Logf("%s: %d problems exact", kern, len(probs))
+		})
 	}
 }
 
@@ -211,20 +314,27 @@ func TestIm2RowInt8MatchesFloatLowering(t *testing.T) {
 	}
 }
 
-// BenchmarkDotInt8 documents the int8 kernel's advantage over the float
-// path on a dense-layer-sized reduction (the batch-1 latency story).
-func BenchmarkDotInt8(b *testing.B) {
-	const k = 3136
-	a8 := make([]int8, k)
-	b8 := make([]int8, k)
-	for i := range a8 {
-		a8[i] = int8(i%255 - 127)
-		b8[i] = int8((i*7)%255 - 127)
+// BenchmarkGemmInt8 times GemmInt8TransB at the TF MNIST layer shapes,
+// once per int8 kernel the host runs. Ops are reported as "bytes", so
+// MB/s reads as MOP/s (two ops per multiply-add).
+func BenchmarkGemmInt8(b *testing.B) {
+	for _, s := range [][3]int{{32, 25, 784}, {64, 800, 196}, {1, 3136, 1024}, {100, 3136, 1024}} {
+		m, k, n := s[0], s[1], s[2]
+		rng := NewRNG(7)
+		a8, b8 := make([]int8, m*k), make([]int8, n*k)
+		int8Codes(rng, a8)
+		int8Codes(rng, b8)
+		c := make([]int32, m*n)
+		for _, kern := range int8KernelsOnHost() {
+			b.Run(fmt.Sprintf("m%dk%dn%d/%s", m, k, n, kern), func(b *testing.B) {
+				withInt8Kernel(kern, func() {
+					b.SetBytes(int64(2 * m * k * n))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						GemmInt8TransB(c, a8, b8, m, k, n)
+					}
+				})
+			})
+		}
 	}
-	b.SetBytes(2 * k)
-	var sink int32
-	for i := 0; i < b.N; i++ {
-		sink += dotInt8(a8, b8)
-	}
-	_ = sink
 }
