@@ -4,7 +4,7 @@
 # tracer costs <2% of a training iteration, the chaos suite that
 # exercises fault injection, divergence recovery, panic conversion and
 # checkpoint/resume under the race detector, and short fuzz runs of
-# the fault grammar and of journal replay.
+# the fault grammar, of journal replay and of the POST /jobs body.
 
 GO ?= go
 
@@ -77,14 +77,18 @@ chaos:
 # Native fuzzing, 10 s per target, of what the daemon reads from
 # outside: the -faults grammar, which POST /jobs accepts from the
 # network (no input may panic ParsePlan, and every plan it accepts must
-# hold the invariants FuzzParsePlan checks), then journal replay, which
+# hold the invariants FuzzParsePlan checks); journal replay, which
 # reads a file a crash may have torn (FuzzReplayJournal: no panic or
-# error, valid and ordered pending jobs, compaction changes nothing).
-# The seed corpora are in testdata/fuzz/<target> of each package; go
-# test writes any failing input there too.
+# error, valid and ordered pending jobs, compaction changes nothing);
+# then the POST /jobs body (FuzzJobSpec: no panic in the decode or in
+# JobSpec.Validate, and a spec that validates survives marshal, decode
+# and Validate unchanged). The seed corpora are in
+# testdata/fuzz/<target> of each package; go test writes any failing
+# input there too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/resilience/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/server/
 
 # Inference-workload gates, run fresh (-count=1): the quantization
 # property tests (round-trip bound, saturation, int8 GEMM tolerance),

@@ -255,15 +255,11 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 		}
 	})
 	b.Run("im2col-gemm", func(b *testing.B) {
-		col := tensor.New(kVol, g.OutH()*g.OutW())
-		w := tensor.MustFrom(weights, g.OutC, kVol)
-		dst := tensor.New(g.OutC, g.OutH()*g.OutW())
+		col := make([]float64, kVol*g.OutH()*g.OutW())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tensor.Im2Col(col.Data(), img, g)
-			if err := tensor.MatMul(dst, w, col); err != nil {
-				b.Fatal(err)
-			}
+			tensor.Im2Col(col, img, g)
+			tensor.Gemm(out, weights, col, g.OutC, kVol, g.OutH()*g.OutW(), false)
 		}
 	})
 }

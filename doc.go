@@ -3,9 +3,9 @@
 //
 // The library lives under internal/ (core benchmark suite, tensor/NN/optim
 // substrates, framework simulacra, device cost models, synthetic datasets,
-// adversarial attacks); cmd/dlbench is the experiment CLI and examples/
-// holds runnable walkthroughs. See README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// adversarial attacks); cmd/dlbench is the experiment CLI and
+// cmd/calibrate fits the device cost models. See README.md, DESIGN.md
+// and EXPERIMENTS.md.
 //
 // # Observability
 //

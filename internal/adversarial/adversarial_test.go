@@ -65,7 +65,7 @@ func trainedNet(t *testing.T) (*nn.Network, *data.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for batches.Epoch() < 4 {
+	for batches.State().Epoch < 4 {
 		x, labels, err := batches.Next()
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -153,8 +154,8 @@ func TestChaosCellFailureIsIsolated(t *testing.T) {
 	if err := metrics.WriteJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	back, err := metrics.ReadJSON(&buf)
-	if err != nil {
+	var back []metrics.RunResult
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if !back[0].Failed || back[0].Error != failed.Error {

@@ -259,16 +259,16 @@ func TestTrainedNetworkReuse(t *testing.T) {
 		Framework: framework.Caffe, SettingsFW: framework.Caffe,
 		SettingsDS: framework.MNIST, Data: framework.MNIST, Device: device.GPU,
 	}
-	n1, err := s.TrainedNetwork(spec)
+	n1, err := s.TrainedNetworkContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := s.TrainedNetwork(spec)
+	n2, err := s.TrainedNetworkContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n1 != n2 {
-		t.Fatal("TrainedNetwork must reuse the cached model")
+		t.Fatal("TrainedNetworkContext must reuse the cached model")
 	}
 }
 

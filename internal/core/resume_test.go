@@ -7,15 +7,16 @@ import (
 	"testing"
 
 	"repro/internal/framework"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
 // resumeSuite builds a suite with the resilience layer and a checkpoint
 // store on dir.
-func resumeSuite(t *testing.T, dir string) *Suite {
+func resumeSuite(t *testing.T, scale Scale, seed uint64, dir string) *Suite {
 	t.Helper()
-	s, err := NewSuite(chaosScale, 11)
+	s, err := NewSuite(scale, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestResumeAfterCrashMatchesUninterrupted(t *testing.T) {
 			dir := t.TempDir()
 
 			// Run 1: killed by an injected crash at iteration 2.
-			s1 := resumeSuite(t, dir)
+			s1 := resumeSuite(t, chaosScale, 11, dir)
 			plan, err := resilience.ParsePlan("crash@2")
 			if err != nil {
 				t.Fatal(err)
@@ -53,12 +54,12 @@ func TestResumeAfterCrashMatchesUninterrupted(t *testing.T) {
 			if !errors.Is(err, resilience.ErrInjectedCrash) {
 				t.Fatalf("crashed run error = %v, want ErrInjectedCrash", err)
 			}
-			if _, found, err := s1.Checkpoints.Load(spec.CellKey()); err != nil || !found {
+			if _, found, err := s1.Checkpoints.Load(s1.checkpointKey(spec.CellKey())); err != nil || !found {
 				t.Fatalf("no checkpoint on disk after crash: found=%v err=%v", found, err)
 			}
 
 			// Run 2: a fresh suite (fresh process, in effect) resumes it.
-			s2 := resumeSuite(t, dir)
+			s2 := resumeSuite(t, chaosScale, 11, dir)
 			s2.Obs = obs.New()
 			s2.Resume = true
 			resumed, err := s2.RunContext(context.Background(), spec)
@@ -70,28 +71,78 @@ func TestResumeAfterCrashMatchesUninterrupted(t *testing.T) {
 			}
 
 			// Reference: the same seed trained uninterrupted, no harness.
-			s3 := resumeSuite(t, "")
+			s3 := resumeSuite(t, chaosScale, 11, "")
 			straight, err := s3.RunContext(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("uninterrupted run: %v", err)
 			}
 
-			if resumed.FinalLoss != straight.FinalLoss {
-				t.Errorf("final loss: resumed %v vs uninterrupted %v", resumed.FinalLoss, straight.FinalLoss)
+			sameTraining(t, resumed, straight)
+		})
+	}
+}
+
+// sameTraining fails t unless the resumed run's loss, accuracy and loss
+// history are bit-identical to the reference run's.
+func sameTraining(t *testing.T, resumed, want metrics.RunResult) {
+	t.Helper()
+	if math.Float64bits(resumed.FinalLoss) != math.Float64bits(want.FinalLoss) {
+		t.Errorf("final loss: resumed %v vs reference %v", resumed.FinalLoss, want.FinalLoss)
+	}
+	if math.Float64bits(resumed.AccuracyPct) != math.Float64bits(want.AccuracyPct) {
+		t.Errorf("accuracy: resumed %v vs reference %v", resumed.AccuracyPct, want.AccuracyPct)
+	}
+	if len(resumed.LossHistory) != len(want.LossHistory) {
+		t.Fatalf("loss history length: resumed %d vs reference %d",
+			len(resumed.LossHistory), len(want.LossHistory))
+	}
+	for i := range resumed.LossHistory {
+		a, b := resumed.LossHistory[i], want.LossHistory[i]
+		if a.Iteration != b.Iteration || math.Float64bits(a.Loss) != math.Float64bits(b.Loss) {
+			t.Fatalf("loss history diverges at %d: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// TestResumeIgnoresOtherRunsCheckpoint: a checkpoint holds one seed's
+// model at one scale. Resuming under another seed, or another scale,
+// into the same store must find no checkpoint and train afresh, so the
+// result is bit-identical to a fresh run of the new seed and scale.
+func TestResumeIgnoresOtherRunsCheckpoint(t *testing.T) {
+	harder := chaosScale
+	harder.Name, harder.MNISTDifficulty = "chaos-hard", 0.8
+	tests := []struct {
+		name  string
+		scale Scale
+		seed  uint64
+	}{
+		{"seed", chaosScale, 2},
+		{"scale", harder, 1},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			spec := baselineSpec(framework.Caffe)
+			dir := t.TempDir()
+			if _, err := resumeSuite(t, chaosScale, 1, dir).RunContext(context.Background(), spec); err != nil {
+				t.Fatal(err)
 			}
-			if resumed.AccuracyPct != straight.AccuracyPct {
-				t.Errorf("accuracy: resumed %v vs uninterrupted %v", resumed.AccuracyPct, straight.AccuracyPct)
+
+			s := resumeSuite(t, tt.scale, tt.seed, dir)
+			s.Obs = obs.New()
+			s.Resume = true
+			resumed, err := s.RunContext(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
 			}
-			if len(resumed.LossHistory) != len(straight.LossHistory) {
-				t.Fatalf("loss history length: resumed %d vs uninterrupted %d",
-					len(resumed.LossHistory), len(straight.LossHistory))
+			if got := s.Obs.Snapshot().Counters[resilience.CounterResumes]; got != 0 {
+				t.Errorf("resumes counter = %d, want 0", got)
 			}
-			for i := range resumed.LossHistory {
-				a, b := resumed.LossHistory[i], straight.LossHistory[i]
-				if a.Iteration != b.Iteration || a.Loss != b.Loss {
-					t.Fatalf("loss history diverges at %d: %+v vs %+v", i, a, b)
-				}
+
+			fresh, err := resumeSuite(t, tt.scale, tt.seed, "").RunContext(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("fresh run: %v", err)
 			}
+			sameTraining(t, resumed, fresh)
 		})
 	}
 }
@@ -103,13 +154,13 @@ func TestResumeSkipsCompletedCell(t *testing.T) {
 	spec := baselineSpec(framework.Caffe)
 	dir := t.TempDir()
 
-	s1 := resumeSuite(t, dir)
+	s1 := resumeSuite(t, chaosScale, 11, dir)
 	first, err := s1.RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := resumeSuite(t, dir)
+	s2 := resumeSuite(t, chaosScale, 11, dir)
 	s2.Obs = obs.New()
 	s2.Resume = true
 	second, err := s2.RunContext(context.Background(), spec)

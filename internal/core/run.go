@@ -32,13 +32,9 @@ func (s *Suite) RunContext(ctx context.Context, spec RunSpec) (metrics.RunResult
 	return s.assemble(spec, tm)
 }
 
-// TrainedNetwork returns the trained network for spec (used by the
-// adversarial experiments, which attack trained models).
-func (s *Suite) TrainedNetwork(spec RunSpec) (*nn.Network, error) {
-	return s.TrainedNetworkContext(context.Background(), spec)
-}
-
-// TrainedNetworkContext is TrainedNetwork under a caller context.
+// TrainedNetworkContext returns the trained network for spec (used by
+// the adversarial experiments, which attack trained models), training it
+// under ctx when it is not cached.
 func (s *Suite) TrainedNetworkContext(ctx context.Context, spec RunSpec) (*nn.Network, error) {
 	tm, err := s.model(ctx, spec)
 	if err != nil {

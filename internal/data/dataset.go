@@ -14,7 +14,6 @@ package data
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/obs"
@@ -134,9 +133,6 @@ func (b *Batches) reset() {
 	b.pos = 0
 }
 
-// Epoch returns the number of completed passes over the dataset.
-func (b *Batches) Epoch() int { return b.epoch }
-
 // SetObs attaches a tracer: every Next records a "data.load" duration and
 // increments the "data.load.batches" counter. A nil tracer (the default)
 // disables instrumentation.
@@ -224,37 +220,4 @@ func (b *Batches) Restore(st BatchState) error {
 		b.rng.Restore(st.RNG)
 	}
 	return nil
-}
-
-// PixelEntropy estimates the mean per-pixel Shannon entropy of the dataset
-// in bits, using a 32-bin histogram over [0,1] pixel intensities. The
-// paper attributes MNIST's learnability to its low entropy; this metric
-// lets the suite verify the synthetic datasets preserve that ordering.
-func PixelEntropy(d *Dataset) float64 {
-	const bins = 32
-	var hist [bins]float64
-	total := 0.0
-	for _, v := range d.Images.Data() {
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		bin := int(v * (bins - 1))
-		hist[bin]++
-		total++
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range hist {
-		if c == 0 {
-			continue
-		}
-		p := c / total
-		h -= p * math.Log2(p)
-	}
-	return h
 }

@@ -34,7 +34,7 @@ func TestDispatchAllocations(t *testing.T) {
 	}
 	floorPredict := 1 + perCall(func() error { _, err := net.Forward(x, false); return err })
 	floorTrain := perCall(func() error { _, err := net.TrainStep(x, labels); return err })
-	floorInt8 := 1 + perCall(func() error { _, err := qnet.Forward(x); return err })
+	floorInt8 := 1 + perCall(func() error { _, err := qnet.ForwardWithHook(x, nil); return err })
 
 	styles := map[string]func(*obs.Tracer) (Executor, error){
 		"graph":     func(tr *obs.Tracer) (Executor, error) { return NewGraph(buildNet(t, 31), tr) },

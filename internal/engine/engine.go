@@ -108,8 +108,6 @@ type OpHook func(site string) error
 // at phase granularity, so a long sweep stops within one forward/backward
 // pass instead of hanging until the run completes.
 type Executor interface {
-	// Name identifies the executor style ("graph", "layerwise", "module").
-	Name() string
 	// Network returns the underlying network.
 	Network() *nn.Network
 	// TrainBatch runs one forward/loss/backward iteration, leaving

@@ -211,9 +211,6 @@ func (g *GraphExecutor) fuse() {
 	}
 }
 
-// Name implements Executor.
-func (g *GraphExecutor) Name() string { return "graph" }
-
 // Network implements Executor.
 func (g *GraphExecutor) Network() *nn.Network { return g.net }
 

@@ -84,9 +84,6 @@ func NewLayerwise(net *nn.Network, batchHint int, tr *obs.Tracer) (*LayerwiseExe
 	return e, nil
 }
 
-// Name implements Executor.
-func (e *LayerwiseExecutor) Name() string { return "layerwise" }
-
 // Network implements Executor.
 func (e *LayerwiseExecutor) Network() *nn.Network { return e.net }
 

@@ -218,9 +218,6 @@ func (e *ModuleExecutor) TrainBatch(ctx context.Context, x *tensor.Tensor, label
 	return res, nil
 }
 
-// Name implements Executor.
-func (e *ModuleExecutor) Name() string { return "module" }
-
 // Network implements Executor.
 func (e *ModuleExecutor) Network() *nn.Network { return e.net }
 

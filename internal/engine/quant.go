@@ -58,9 +58,6 @@ func NewQuant(net *nn.Network, tr *obs.Tracer) (*QuantExecutor, error) {
 	return q, nil
 }
 
-// Name implements Executor.
-func (q *QuantExecutor) Name() string { return "int8" }
-
 // Network implements Executor: the source float network the quantized
 // weights were frozen from.
 func (q *QuantExecutor) Network() *nn.Network { return q.net }

@@ -131,12 +131,6 @@ func Defaults(id ID, ds DatasetID) (TrainingDefaults, error) {
 	}
 }
 
-// Label renders the paper's setting notation, e.g. "TF MNIST" or
-// "Caffe CIFAR-10".
-func (d TrainingDefaults) Label() string {
-	return d.Framework.Short() + " " + d.Dataset.String()
-}
-
 // Schedule builds the optimizer learning-rate schedule for a run of
 // totalIters iterations (which may be a scaled-down version of MaxIters).
 func (d TrainingDefaults) Schedule(totalIters int) optim.Schedule {

@@ -3,6 +3,8 @@ package framework
 import (
 	"math"
 	"testing"
+
+	"repro/internal/optim"
 )
 
 // TestTFCIFARSettingExtras checks the input-pipeline and schedule details
@@ -88,11 +90,10 @@ func TestOptimizerConstruction(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %v: %v", fw, ds, err)
 			}
-			wantName := d.Algorithm
-			if opt.Name() != wantName {
-				t.Fatalf("%v %v optimizer %q, want %q", fw, ds, opt.Name(), wantName)
+			if got := opt.(optim.Checkpointable).CaptureState().Algorithm; got != d.Algorithm {
+				t.Fatalf("%v %v optimizer %q, want %q", fw, ds, got, d.Algorithm)
 			}
-			if lr := opt.LearningRate(); lr != d.BaseLR {
+			if lr := d.Schedule(100).At(0); lr != d.BaseLR {
 				t.Fatalf("%v %v initial lr %v, want %v", fw, ds, lr, d.BaseLR)
 			}
 		}

@@ -2,6 +2,7 @@ package framework
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -125,16 +126,6 @@ func TestTableIIIDefaults(t *testing.T) {
 	}
 	if _, err := Defaults(ID(99), MNIST); !errors.Is(err, ErrUnknown) {
 		t.Fatal("unknown framework defaults must error")
-	}
-}
-
-func TestDefaultsLabel(t *testing.T) {
-	d, err := Defaults(TensorFlow, MNIST)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Label() != "TF MNIST" {
-		t.Fatalf("label = %q", d.Label())
 	}
 }
 
@@ -333,9 +324,9 @@ func TestExecutorBindings(t *testing.T) {
 		fw   ID
 		want string
 	}{
-		{TensorFlow, "graph"},
-		{Caffe, "layerwise"},
-		{Torch, "module"},
+		{TensorFlow, "*engine.GraphExecutor"},
+		{Caffe, "*engine.LayerwiseExecutor"},
+		{Torch, "*engine.ModuleExecutor"},
 	}
 	for _, tt := range tests {
 		net, err := BuildNetwork(tt.fw, MNIST, in, NetworkOptions{Device: device.GPU, DropoutRate: -1})
@@ -346,8 +337,8 @@ func TestExecutorBindings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exec.Name() != tt.want {
-			t.Fatalf("%v executor = %q, want %q", tt.fw, exec.Name(), tt.want)
+		if got := fmt.Sprintf("%T", exec); got != tt.want {
+			t.Fatalf("%v executor = %s, want %s", tt.fw, got, tt.want)
 		}
 	}
 	if _, err := NewExecutor(ID(42), nil, 1); !errors.Is(err, engine.ErrNilNetwork) && !errors.Is(err, ErrUnknown) {

@@ -24,15 +24,6 @@ func WriteJSON(w io.Writer, results []RunResult) error {
 	return nil
 }
 
-// ReadJSON decodes results written by WriteJSON.
-func ReadJSON(r io.Reader) ([]RunResult, error) {
-	var out []RunResult
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("metrics: read json: %w", err)
-	}
-	return out, nil
-}
-
 // csvHeader is the flat column layout of WriteCSV.
 var csvHeader = []string{
 	"framework", "settings", "dataset", "device",

@@ -17,23 +17,6 @@ import (
 // ErrInput is returned (wrapped) for invalid metric inputs.
 var ErrInput = errors.New("metrics: invalid input")
 
-// Accuracy returns the fraction (percent) of predictions matching labels.
-func Accuracy(preds, labels []int) (float64, error) {
-	if len(preds) != len(labels) {
-		return 0, fmt.Errorf("%w: %d predictions for %d labels", ErrInput, len(preds), len(labels))
-	}
-	if len(preds) == 0 {
-		return 0, fmt.Errorf("%w: empty prediction set", ErrInput)
-	}
-	correct := 0
-	for i, p := range preds {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return 100 * float64(correct) / float64(len(preds)), nil
-}
-
 // Percentile returns the exact nearest-rank p-th percentile (0..100) of
 // vals: the value at 1-based rank round(p/100·n), clamped to [1, n], so
 // p99 of 40 samples is the largest. core.InferSweep and cmd/loadgen
@@ -80,15 +63,6 @@ func (c *Confusion) Add(truth, pred int) error {
 	return nil
 }
 
-// Count returns the raw count for (truth, pred).
-func (c *Confusion) Count(truth, pred int) int { return c.counts[truth][pred] }
-
-// Classes returns the class count.
-func (c *Confusion) Classes() int { return c.classes }
-
-// Total returns the number of recorded observations.
-func (c *Confusion) Total() int { return c.total }
-
 // Accuracy returns the percent of diagonal observations.
 func (c *Confusion) Accuracy() float64 {
 	if c.total == 0 {
@@ -99,18 +73,6 @@ func (c *Confusion) Accuracy() float64 {
 		diag += c.counts[i][i]
 	}
 	return 100 * float64(diag) / float64(c.total)
-}
-
-// Rate returns P(pred | truth) — the row-normalized rate.
-func (c *Confusion) Rate(truth, pred int) float64 {
-	rowTotal := 0
-	for _, v := range c.counts[truth] {
-		rowTotal += v
-	}
-	if rowTotal == 0 {
-		return 0
-	}
-	return float64(c.counts[truth][pred]) / float64(rowTotal)
 }
 
 // TimeRecord pairs a deterministic cost-model duration (comparable to the

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -63,8 +64,8 @@ func TestRunResultTelemetryRoundTrip(t *testing.T) {
 	if strings.Count(buf.String(), "\"Telemetry\"") != 1 {
 		t.Fatalf("Telemetry must appear exactly once:\n%s", buf.String())
 	}
-	out, err := ReadJSON(&buf)
-	if err != nil {
+	var out []RunResult
+	if err := json.NewDecoder(&buf).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	tel := out[0].Telemetry

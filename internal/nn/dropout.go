@@ -41,9 +41,6 @@ func NewDropout(name string, p float64, rng *tensor.RNG) (*Dropout, error) {
 // Name implements Layer.
 func (d *Dropout) Name() string { return d.name }
 
-// Rate returns the configured drop probability.
-func (d *Dropout) Rate() float64 { return d.p }
-
 // RNG exposes the layer's mask generator so training checkpoints can
 // capture and restore its state: resuming a run must draw the same mask
 // sequence an uninterrupted run would have drawn.

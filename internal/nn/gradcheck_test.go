@@ -195,7 +195,7 @@ func TestGradCheckMaxPool(t *testing.T) {
 	x, labels := randomBatch(rng, 3, []int{2, 8, 8}, 3)
 	// Max pooling is only piecewise differentiable; keep values separated
 	// to avoid ties at the finite-difference scale.
-	tensor.Apply(x, func(v float64) float64 { return v * 3 })
+	tensor.Scale(x, 3)
 	checkGradients(t, net, x, labels)
 }
 

@@ -31,9 +31,8 @@ type quantStage interface {
 // QuantizedNetwork is the int8 inference-only counterpart of a trained
 // Network. Not safe for concurrent use, like Network itself.
 type QuantizedNetwork struct {
-	name    string
-	inShape []int
-	stages  []quantStage
+	name   string
+	stages []quantStage
 }
 
 // Quantize freezes a trained network into its int8 inference form.
@@ -42,7 +41,7 @@ func Quantize(net *Network) (*QuantizedNetwork, error) {
 	if err != nil {
 		return nil, fmt.Errorf("quantize %q: %w", net.Name(), err)
 	}
-	return &QuantizedNetwork{name: net.Name() + "-int8", inShape: net.InShape(), stages: stages}, nil
+	return &QuantizedNetwork{name: net.Name() + "-int8", stages: stages}, nil
 }
 
 func quantizeLayers(layers []Layer) ([]quantStage, error) {
@@ -66,23 +65,13 @@ func quantizeLayers(layers []Layer) ([]quantStage, error) {
 	return stages, nil
 }
 
-// Name returns the quantized network's name.
-func (q *QuantizedNetwork) Name() string { return q.name }
-
-// InShape returns the per-sample input shape.
-func (q *QuantizedNetwork) InShape() []int { return append([]int(nil), q.inShape...) }
-
 // NumStages returns the number of top-level stages (the dispatch count
 // the executor charges per inference batch).
 func (q *QuantizedNetwork) NumStages() int { return len(q.stages) }
 
-// Forward runs the quantized inference pass and returns logits.
-func (q *QuantizedNetwork) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return q.ForwardWithHook(x, nil)
-}
-
-// ForwardWithHook is Forward with a per-stage callback invoked before
-// each stage dispatch; a non-nil error from the hook aborts the pass.
+// ForwardWithHook runs the quantized inference pass and returns logits.
+// A non-nil hook is called before each stage dispatch; a non-nil error
+// from it aborts the pass.
 // The executor layer uses it for fault injection and op accounting.
 func (q *QuantizedNetwork) ForwardWithHook(x *tensor.Tensor, hook func(stage string) error) (*tensor.Tensor, error) {
 	cur := x

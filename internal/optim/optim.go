@@ -22,10 +22,6 @@ type Optimizer interface {
 	// Step applies one update using the current gradients and clears
 	// them. It advances any internal schedule by one iteration.
 	Step() error
-	// LearningRate reports the learning rate the *next* Step will use.
-	LearningRate() float64
-	// Name identifies the algorithm for reports ("sgd", "adam").
-	Name() string
 }
 
 // Schedule maps an iteration index to a learning rate.
@@ -122,15 +118,6 @@ func NewSGD(params []*nn.Param, cfg SGDConfig) (*SGD, error) {
 	return s, nil
 }
 
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// LearningRate implements Optimizer.
-func (s *SGD) LearningRate() float64 { return s.cfg.Schedule.At(s.it) }
-
-// Iteration returns the number of completed steps.
-func (s *SGD) Iteration() int { return s.it }
-
 // Step implements Optimizer.
 func (s *SGD) Step() error {
 	lr := s.cfg.Schedule.At(s.it)
@@ -214,15 +201,6 @@ func NewAdam(params []*nn.Param, cfg AdamConfig) (*Adam, error) {
 	}
 	return a, nil
 }
-
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
-
-// LearningRate implements Optimizer.
-func (a *Adam) LearningRate() float64 { return a.cfg.Schedule.At(a.it) }
-
-// Iteration returns the number of completed steps.
-func (a *Adam) Iteration() int { return a.it }
 
 // Step implements Optimizer.
 func (a *Adam) Step() error {

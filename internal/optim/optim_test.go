@@ -57,8 +57,8 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	if l := quadLoss(p, target); l > 1e-8 {
 		t.Fatalf("SGD final loss %v, want ≈0", l)
 	}
-	if opt.Iteration() != 200 {
-		t.Fatalf("iteration = %d, want 200", opt.Iteration())
+	if opt.it != 200 {
+		t.Fatalf("iteration = %d, want 200", opt.it)
 	}
 }
 

@@ -39,7 +39,7 @@ var (
 
 // CaptureState implements Checkpointable.
 func (s *SGD) CaptureState() State {
-	st := State{Algorithm: s.Name(), Iteration: s.it}
+	st := State{Algorithm: "sgd", Iteration: s.it}
 	for _, v := range s.velocity {
 		st.Slots = append(st.Slots, append([]float64(nil), v.Data()...))
 	}
@@ -48,7 +48,7 @@ func (s *SGD) CaptureState() State {
 
 // RestoreState implements Checkpointable.
 func (s *SGD) RestoreState(st State) error {
-	if st.Algorithm != s.Name() {
+	if st.Algorithm != "sgd" {
 		return fmt.Errorf("%w: restoring %q state into sgd", ErrConfig, st.Algorithm)
 	}
 	if len(st.Slots) != len(s.velocity) {
@@ -65,7 +65,7 @@ func (s *SGD) RestoreState(st State) error {
 
 // CaptureState implements Checkpointable.
 func (a *Adam) CaptureState() State {
-	st := State{Algorithm: a.Name(), Iteration: a.it}
+	st := State{Algorithm: "adam", Iteration: a.it}
 	for i := range a.m {
 		st.Slots = append(st.Slots,
 			append([]float64(nil), a.m[i].Data()...),
@@ -76,7 +76,7 @@ func (a *Adam) CaptureState() State {
 
 // RestoreState implements Checkpointable.
 func (a *Adam) RestoreState(st State) error {
-	if st.Algorithm != a.Name() {
+	if st.Algorithm != "adam" {
 		return fmt.Errorf("%w: restoring %q state into adam", ErrConfig, st.Algorithm)
 	}
 	if len(st.Slots) != 2*len(a.m) {

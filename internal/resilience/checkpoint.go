@@ -32,7 +32,8 @@ var ErrCheckpoint = errors.New("resilience: invalid checkpoint")
 // accumulated so far. It is plain data; the core package captures and
 // restores it.
 type Checkpoint struct {
-	// Cell identifies the matrix cell the snapshot belongs to.
+	// Cell identifies the run the snapshot belongs to; core keys it by
+	// matrix cell, seed and scale.
 	Cell string
 	// Iteration is the number of completed training iterations; resuming
 	// continues at this iteration index.
@@ -103,14 +104,6 @@ func NewStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("resilience: checkpoint dir: %w", err)
 	}
 	return &Store{dir: dir}, nil
-}
-
-// Dir returns the store's directory ("" for a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
 }
 
 // Path returns the checkpoint file path for a cell. Cell keys contain
@@ -186,16 +179,4 @@ func (s *Store) Load(cell string) (c *Checkpoint, found bool, err error) {
 		return nil, false, fmt.Errorf("%w: checkpoint is for cell %q, want %q", ErrCheckpoint, c.Cell, cell)
 	}
 	return c, true, nil
-}
-
-// Remove deletes the cell's checkpoint if present (a completed run cleans
-// up after itself so a later -resume does not skip retraining).
-func (s *Store) Remove(cell string) error {
-	if s == nil {
-		return nil
-	}
-	if err := os.Remove(s.Path(cell)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("resilience: remove checkpoint: %w", err)
-	}
-	return nil
 }

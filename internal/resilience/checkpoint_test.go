@@ -78,7 +78,7 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestStoreSaveLoadRemove(t *testing.T) {
+func TestStoreSaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewStore(dir)
 	if err != nil {
@@ -107,15 +107,6 @@ func TestStoreSaveLoadRemove(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".ckpt-") {
 			t.Fatalf("leftover temp file %s", e.Name())
 		}
-	}
-	if err := st.Remove(cell); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := st.Load(cell); found {
-		t.Fatal("checkpoint survived Remove")
-	}
-	if err := st.Remove(cell); err != nil {
-		t.Fatalf("Remove of a missing checkpoint should be a no-op: %v", err)
 	}
 }
 
@@ -155,17 +146,11 @@ func TestStoreLoadRejectsCellMismatch(t *testing.T) {
 
 func TestNilStoreIsNoop(t *testing.T) {
 	var st *Store
-	if st.Dir() != "" {
-		t.Fatal("nil store has a directory")
-	}
 	if err := st.Save(sampleCheckpoint("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, found, err := st.Load("x"); err != nil || found {
 		t.Fatalf("nil store Load: found=%v err=%v", found, err)
-	}
-	if err := st.Remove("x"); err != nil {
-		t.Fatal(err)
 	}
 }
 

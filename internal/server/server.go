@@ -31,6 +31,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -555,6 +556,14 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
+// decodeSpec reads a POST /jobs body: one JSON JobSpec within 1 MiB. A
+// non-nil w lets the server close the connection of a longer body.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (JobSpec, error) {
+	var spec JobSpec
+	err := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20)).Decode(&spec)
+	return spec, err
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, submitReply{Status: "draining", Reason: "server is shutting down"})
@@ -581,8 +590,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, submitReply{Status: "shed", Reason: reason, RetryAfterSeconds: secs})
 		return
 	}
-	var spec JobSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
+	spec, err := decodeSpec(w, r.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, submitReply{Status: "invalid", Reason: "bad JSON: " + err.Error()})
 		return
 	}
@@ -599,7 +608,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Durability before acknowledgement: the journal record lands (and
 	// syncs) before the queue push and before the client sees the 202.
 	sync := j.tracer.Span(SpanJournalSync, "server")
-	err := s.journal.submit(j)
+	err = s.journal.submit(j)
 	sync.End()
 	if err != nil {
 		adm.End()

@@ -12,9 +12,7 @@ func benchmarkMatMul(b *testing.B, m, k, n int) {
 	b.SetBytes(int64(8 * (m*k + k*n + m*n)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := MatMul(c, a, bb); err != nil {
-			b.Fatal(err)
-		}
+		Gemm(c.Data(), a.Data(), bb.Data(), m, k, n, false)
 	}
 }
 
@@ -32,9 +30,7 @@ func BenchmarkMatMulTransA(b *testing.B) {
 	rng.FillNormal(bb, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := MatMulTransA(c, a, bb); err != nil {
-			b.Fatal(err)
-		}
+		GemmTransA(c.Data(), a.Data(), bb.Data(), m, k, n)
 	}
 }
 
@@ -48,9 +44,7 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	rng.FillNormal(bb, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := MatMulTransB(c, a, bb); err != nil {
-			b.Fatal(err)
-		}
+		GemmTransB(c.Data(), a.Data(), bb.Data(), m, k, n, false, nil)
 	}
 }
 

@@ -5,13 +5,12 @@ import "fmt"
 // ConvGeom describes the geometry of a 2-D convolution or pooling window:
 // input channels/height/width, kernel size, stride and symmetric padding.
 type ConvGeom struct {
-	InC, InH, InW  int // input channels, height, width
-	KH, KW         int // kernel height, width
-	StrideH        int
-	StrideW        int
-	PadH, PadW     int
-	OutC           int // output channels (ignored by pooling)
-	DilationUnused int // reserved; always 0 in this suite
+	InC, InH, InW int // input channels, height, width
+	KH, KW        int // kernel height, width
+	StrideH       int
+	StrideW       int
+	PadH, PadW    int
+	OutC          int // output channels (ignored by pooling)
 }
 
 // OutH returns the output height implied by the geometry.

@@ -63,20 +63,16 @@ func convViaIm2Col(img, weights, bias []float64, g ConvGeom) []float64 {
 	kVol := g.InC * g.KH * g.KW
 	col := make([]float64, kVol*outH*outW)
 	Im2Col(col, img, g)
-	w := MustFrom(weights, g.OutC, kVol)
-	c := MustFrom(col, kVol, outH*outW)
-	out := New(g.OutC, outH*outW)
-	if err := MatMul(out, w, c); err != nil {
-		panic(err)
-	}
+	out := make([]float64, g.OutC*outH*outW)
+	Gemm(out, weights, col, g.OutC, kVol, outH*outW, false)
 	if bias != nil {
 		for oc := 0; oc < g.OutC; oc++ {
 			for i := 0; i < outH*outW; i++ {
-				out.Data()[oc*outH*outW+i] += bias[oc]
+				out[oc*outH*outW+i] += bias[oc]
 			}
 		}
 	}
-	return out.Data()
+	return out
 }
 
 func TestIm2ColConvMatchesDirect(t *testing.T) {

@@ -56,59 +56,6 @@ const (
 // portable kernel (256 KiB, so it stays in L2).
 const gemmPackElems = 1 << 15
 
-// MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), writing the
-// m×n result into dst (which must be pre-shaped m×n). Work is spread over
-// the persistent worker pool in row blocks.
-func MatMul(dst, a, b *Tensor) error {
-	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
-		return fmt.Errorf("%w: matmul needs 2-D operands, got %v·%v->%v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmul %v·%v->%v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	Gemm(dst.data, a.data, b.data, m, k, n, false)
-	return nil
-}
-
-// MatMulAdd computes C += A·B, accumulating into dst instead of
-// overwriting it.
-func MatMulAdd(dst, a, b *Tensor) error {
-	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
-		return fmt.Errorf("%w: matmuladd needs 2-D operands", ErrShape)
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmuladd %v·%v->%v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	Gemm(dst.data, a.data, b.data, m, k, n, true)
-	return nil
-}
-
-// MatMulTransA computes C = Aᵀ·B where A is k×m, B is k×n and dst is m×n.
-func MatMulTransA(dst, a, b *Tensor) error {
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmul Aᵀ %v·%v->%v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	GemmTransA(dst.data, a.data, b.data, m, k, n)
-	return nil
-}
-
-// MatMulTransB computes C = A·Bᵀ where A is m×k, B is n×k and dst is m×n.
-func MatMulTransB(dst, a, b *Tensor) error {
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmul Bᵀ %v·%v->%v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	GemmTransB(dst.data, a.data, b.data, m, k, n, false, nil)
-	return nil
-}
-
 // Gemm computes C (+)= A·B over row-major flat slices: A is m×k, B is
 // k×n, C is m×n. Exposing the slice form lets hot loops (per-sample
 // convolution lowering) call the kernel without wrapping slices in

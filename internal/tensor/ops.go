@@ -56,54 +56,6 @@ func AXPY(alpha float64, src, dst *Tensor) error {
 	return nil
 }
 
-// Apply replaces every element x with f(x).
-func Apply(t *Tensor, f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
-// Sum returns the sum of all elements.
-func Sum(t *Tensor) float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func Mean(t *Tensor) float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return Sum(t) / float64(len(t.data))
-}
-
-// Max returns the maximum element and its flat index. It returns
-// (-Inf, -1) for empty tensors.
-func Max(t *Tensor) (float64, int) {
-	best, idx := math.Inf(-1), -1
-	for i, v := range t.data {
-		if v > best {
-			best, idx = v, i
-		}
-	}
-	return best, idx
-}
-
-// Min returns the minimum element and its flat index. It returns
-// (+Inf, -1) for empty tensors.
-func Min(t *Tensor) (float64, int) {
-	best, idx := math.Inf(1), -1
-	for i, v := range t.data {
-		if v < best {
-			best, idx = v, i
-		}
-	}
-	return best, idx
-}
-
 // ArgMaxRow returns, for a 2-D tensor, the column index of the maximum in
 // the given row.
 func ArgMaxRow(t *Tensor, row int) int {
@@ -119,18 +71,6 @@ func ArgMaxRow(t *Tensor, row int) int {
 		}
 	}
 	return idx
-}
-
-// Dot returns the inner product of a and b viewed as flat vectors.
-func Dot(a, b *Tensor) (float64, error) {
-	if len(a.data) != len(b.data) {
-		return 0, fmt.Errorf("%w: dot %v · %v", ErrShape, a.shape, b.shape)
-	}
-	s := 0.0
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s, nil
 }
 
 // Norm2 returns the Euclidean norm of t viewed as a flat vector.

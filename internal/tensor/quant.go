@@ -66,15 +66,6 @@ func QuantizeInt8(dst []int8, src []float64, p QuantParams) {
 	}
 }
 
-// DequantizeInt8 dequantizes src into dst element-wise. len(dst) must be
-// at least len(src).
-func DequantizeInt8(dst []float64, src []int8, p QuantParams) {
-	dst = dst[:len(src)]
-	for i, q := range src {
-		dst[i] = p.Scale * float64(q)
-	}
-}
-
 // int8Kernel names an int8 GEMM tile kernel.
 type int8Kernel int
 

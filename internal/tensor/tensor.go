@@ -12,7 +12,6 @@ package tensor
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -195,16 +194,6 @@ func (t *Tensor) String() string {
 	}
 	b.WriteString("}")
 	return b.String()
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // Volume returns the number of elements implied by shape.

@@ -123,22 +123,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
-func TestReductions(t *testing.T) {
-	a := MustFrom([]float64{3, -1, 4, 1, -5}, 5)
-	if got := Sum(a); got != 2 {
-		t.Fatalf("Sum = %v, want 2", got)
-	}
-	if got := Mean(a); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("Mean = %v, want 0.4", got)
-	}
-	if v, i := Max(a); v != 4 || i != 2 {
-		t.Fatalf("Max = (%v,%d), want (4,2)", v, i)
-	}
-	if v, i := Min(a); v != -5 || i != 4 {
-		t.Fatalf("Min = (%v,%d), want (-5,4)", v, i)
-	}
-}
-
 func TestArgMaxRow(t *testing.T) {
 	m := MustFrom([]float64{
 		0.1, 0.9, 0.0,
@@ -177,21 +161,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestHasNaN(t *testing.T) {
-	a := MustFrom([]float64{1, 2}, 2)
-	if a.HasNaN() {
-		t.Fatal("HasNaN on finite tensor")
-	}
-	a.Set(math.NaN(), 0)
-	if !a.HasNaN() {
-		t.Fatal("HasNaN missed NaN")
-	}
-	b := MustFrom([]float64{math.Inf(1)}, 1)
-	if !b.HasNaN() {
-		t.Fatal("HasNaN missed +Inf")
-	}
-}
-
 // naiveMatMul is the reference implementation used to validate the
 // parallel GEMM kernels.
 func naiveMatMul(a, b *Tensor) *Tensor {
@@ -221,25 +190,13 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		rng.FillNormal(a, 0, 1)
 		rng.FillNormal(b, 0, 1)
 		got := New(s.m, s.n)
-		if err := MatMul(got, a, b); err != nil {
-			t.Fatalf("MatMul(%dx%dx%d): %v", s.m, s.k, s.n, err)
-		}
+		Gemm(got.Data(), a.Data(), b.Data(), s.m, s.k, s.n, false)
 		want := naiveMatMul(a, b)
 		for i := range got.Data() {
 			if math.Abs(got.Data()[i]-want.Data()[i]) > 1e-9 {
-				t.Fatalf("MatMul(%dx%dx%d)[%d] = %v, want %v", s.m, s.k, s.n, i, got.Data()[i], want.Data()[i])
+				t.Fatalf("Gemm(%dx%dx%d)[%d] = %v, want %v", s.m, s.k, s.n, i, got.Data()[i], want.Data()[i])
 			}
 		}
-	}
-}
-
-func TestMatMulShapeErrors(t *testing.T) {
-	a, b := New(2, 3), New(4, 5)
-	if err := MatMul(New(2, 5), a, b); !errors.Is(err, ErrShape) {
-		t.Fatalf("mismatched inner dims: err = %v, want ErrShape", err)
-	}
-	if err := MatMul(New(3, 3), New(2, 4), New(4, 3)); !errors.Is(err, ErrShape) {
-		t.Fatalf("mismatched dst: err = %v, want ErrShape", err)
 	}
 }
 
@@ -247,13 +204,11 @@ func TestMatMulAddAccumulates(t *testing.T) {
 	a := MustFrom([]float64{1, 0, 0, 1}, 2, 2) // identity
 	b := MustFrom([]float64{1, 2, 3, 4}, 2, 2)
 	dst := MustFrom([]float64{10, 10, 10, 10}, 2, 2)
-	if err := MatMulAdd(dst, a, b); err != nil {
-		t.Fatalf("MatMulAdd: %v", err)
-	}
+	Gemm(dst.Data(), a.Data(), b.Data(), 2, 2, 2, true)
 	want := []float64{11, 12, 13, 14}
 	for i, v := range dst.Data() {
 		if v != want[i] {
-			t.Fatalf("MatMulAdd[%d] = %v, want %v", i, v, want[i])
+			t.Fatalf("Gemm accumulate[%d] = %v, want %v", i, v, want[i])
 		}
 	}
 }
@@ -275,12 +230,10 @@ func TestMatMulTransposedVariants(t *testing.T) {
 		}
 	}
 	got := New(m, n)
-	if err := MatMulTransA(got, at, b); err != nil {
-		t.Fatalf("MatMulTransA: %v", err)
-	}
+	GemmTransA(got.Data(), at.Data(), b.Data(), m, k, n)
 	for i := range got.Data() {
 		if math.Abs(got.Data()[i]-want.Data()[i]) > 1e-9 {
-			t.Fatalf("MatMulTransA[%d] = %v, want %v", i, got.Data()[i], want.Data()[i])
+			t.Fatalf("GemmTransA[%d] = %v, want %v", i, got.Data()[i], want.Data()[i])
 		}
 	}
 
@@ -292,12 +245,10 @@ func TestMatMulTransposedVariants(t *testing.T) {
 		}
 	}
 	got2 := New(m, n)
-	if err := MatMulTransB(got2, a, bt); err != nil {
-		t.Fatalf("MatMulTransB: %v", err)
-	}
+	GemmTransB(got2.Data(), a.Data(), bt.Data(), m, k, n, false, nil)
 	for i := range got2.Data() {
 		if math.Abs(got2.Data()[i]-want.Data()[i]) > 1e-9 {
-			t.Fatalf("MatMulTransB[%d] = %v, want %v", i, got2.Data()[i], want.Data()[i])
+			t.Fatalf("GemmTransB[%d] = %v, want %v", i, got2.Data()[i], want.Data()[i])
 		}
 	}
 }
@@ -316,11 +267,11 @@ func TestMatMulPropertyLinearity(t *testing.T) {
 		r.FillNormal(c, 0, 1)
 
 		ab := New(m, n)
-		_ = MatMul(ab, a, b)
+		Gemm(ab.Data(), a.Data(), b.Data(), m, k, n, false)
 		scaledA := a.Clone()
 		Scale(scaledA, alpha)
 		left := New(m, n)
-		_ = MatMul(left, scaledA, b)
+		Gemm(left.Data(), scaledA.Data(), b.Data(), m, k, n, false)
 		for i := range left.Data() {
 			if math.Abs(left.Data()[i]-alpha*ab.Data()[i]) > 1e-8 {
 				return false
@@ -330,9 +281,9 @@ func TestMatMulPropertyLinearity(t *testing.T) {
 		bc := b.Clone()
 		_ = Add(bc, c)
 		lhs := New(m, n)
-		_ = MatMul(lhs, a, bc)
+		Gemm(lhs.Data(), a.Data(), bc.Data(), m, k, n, false)
 		ac := New(m, n)
-		_ = MatMul(ac, a, c)
+		Gemm(ac.Data(), a.Data(), c.Data(), m, k, n, false)
 		for i := range lhs.Data() {
 			if math.Abs(lhs.Data()[i]-(ab.Data()[i]+ac.Data()[i])) > 1e-8 {
 				return false
@@ -345,13 +296,8 @@ func TestMatMulPropertyLinearity(t *testing.T) {
 	}
 }
 
-func TestDotAndNorm(t *testing.T) {
+func TestNorm2(t *testing.T) {
 	a := MustFrom([]float64{3, 4}, 2)
-	b := MustFrom([]float64{1, 2}, 2)
-	d, err := Dot(a, b)
-	if err != nil || d != 11 {
-		t.Fatalf("Dot = (%v, %v), want (11, nil)", d, err)
-	}
 	if got := Norm2(a); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("Norm2 = %v, want 5", got)
 	}
