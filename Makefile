@@ -74,21 +74,25 @@ chaos:
 		-run 'Chaos|Fault|Inject|Panic|Resume|Cancel|Checkpoint|Guard|Diverge|Recover|Backoff|Plan' \
 		./internal/resilience/ ./internal/core/ ./internal/engine/ ./internal/tensor/
 
-# Native fuzzing, 10 s per target, of what the daemon reads from
+# Native fuzzing, 10 s per target, of what the daemon and CLI read from
 # outside: the -faults grammar, which POST /jobs accepts from the
 # network (no input may panic ParsePlan, and every plan it accepts must
 # hold the invariants FuzzParsePlan checks); journal replay, which
 # reads a file a crash may have torn (FuzzReplayJournal: no panic or
 # error, valid and ordered pending jobs, compaction changes nothing);
 # then the POST /jobs body (FuzzJobSpec: no panic in the decode or in
-# JobSpec.Validate, and a spec that validates survives marshal, decode
-# and Validate unchanged). The seed corpora are in
+# JobSpec.Validate, an accepted body is exactly one JSON value, and a
+# spec that validates survives marshal, decode and Validate unchanged);
+# then the checkpoint file -resume reads (FuzzDecodeCheckpoint: every
+# error wraps ErrCheckpoint, re-encoding is stable, and the weights
+# restore into a fixed network or are rejected). The seed corpora are in
 # testdata/fuzz/<target> of each package; go test writes any failing
 # input there too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/resilience/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s ./internal/resilience/
 
 # Inference-workload gates, run fresh (-count=1): the quantization
 # property tests (round-trip bound, saturation, int8 GEMM tolerance),

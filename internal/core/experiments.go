@@ -89,6 +89,9 @@ func (s *Suite) CaffeConvergence(ctx context.Context) (ConvergenceResult, error)
 		Curves:    make(map[string][]metrics.LossPoint),
 		Converged: make(map[string]bool),
 	}
+	// The text lists the curves in framework.Datasets order, so the
+	// figure prints the same way on every run.
+	var labels []string
 	for _, settingsDS := range framework.Datasets {
 		r, err := s.RunContext(ctx, RunSpec{
 			Framework: framework.Caffe, SettingsFW: framework.Caffe,
@@ -98,17 +101,20 @@ func (s *Suite) CaffeConvergence(ctx context.Context) (ConvergenceResult, error)
 			return ConvergenceResult{}, err
 		}
 		label := "Caffe " + settingsDS.String() + " settings"
+		labels = append(labels, label)
 		res.Curves[label] = r.LossHistory
 		res.Converged[label] = r.Converged
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n\n", res.Title)
-	for label, curve := range res.Curves {
+	for _, label := range labels {
+		curve := res.Curves[label]
 		fmt.Fprintf(&b, "%-28s converged=%-5v  loss: first %.4f  last %.4f\n",
 			label, res.Converged[label], curve[0].Loss, curve[len(curve)-1].Loss)
 	}
 	b.WriteString("\nLoss curves (iteration: loss):\n")
-	for label, curve := range res.Curves {
+	for _, label := range labels {
+		curve := res.Curves[label]
 		fmt.Fprintf(&b, "  %s\n    ", label)
 		step := len(curve) / 10
 		if step < 1 {

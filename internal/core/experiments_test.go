@@ -111,6 +111,21 @@ func TestCaffeConvergenceExperiment(t *testing.T) {
 	if !strings.Contains(res.Text, "Fig. 5") {
 		t.Fatal("text missing figure reference")
 	}
+	// The cells are cached, so further calls only re-render: the text must
+	// come out byte-identical every time, MNIST settings first.
+	first := strings.Split(res.Text, "\n")[2]
+	if !strings.HasPrefix(first, "Caffe MNIST settings") {
+		t.Fatalf("first summary line %q, want the MNIST settings", first)
+	}
+	for i := 0; i < 8; i++ {
+		again, err := s.CaffeConvergence(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Text != res.Text {
+			t.Fatalf("call %d rendered differently:\n%s\nfirst call:\n%s", i+2, again.Text, res.Text)
+		}
+	}
 }
 
 func TestUntargetedRobustnessExperiment(t *testing.T) {

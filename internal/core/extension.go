@@ -105,63 +105,18 @@ func (s *Suite) trainAtDifficulty(ctx context.Context, fw framework.ID, difficul
 	if err := nn.InitNetwork(net, defaults.Init, rng.Split()); err != nil {
 		return 0, err
 	}
-	exec, err := framework.NewExecutor(fw, net, defaults.BatchSize)
+	cell := fmt.Sprintf("noise %s difficulty=%.2f", fw.Short(), difficulty)
+	r, err := s.newRun(cell, fw, framework.MNIST, defaults, net, train, rng)
 	if err != nil {
 		return 0, err
 	}
-	epochs := s.scaledEpochs(defaults, framework.MNIST)
-	itersPerEpoch := (train.Len() + defaults.BatchSize - 1) / defaults.BatchSize
-	totalIters := epochs * itersPerEpoch
-	opt, err := defaults.NewOptimizer(net.Params(), totalIters)
-	if err != nil {
+	s.progress("noise sweep: %s at difficulty %.2f (%d iters)", fw, difficulty, r.totalIters)
+	if err := s.runIters(ctx, r, 0); err != nil {
 		return 0, err
 	}
-	batches, err := data.NewBatches(train, defaults.BatchSize, rng.Split())
+	conf, err := s.evaluate(ctx, r.exec, test, r.prep)
 	if err != nil {
 		return 0, err
-	}
-	s.progress("noise sweep: %s at difficulty %.2f (%d iters)", fw, difficulty, totalIters)
-	for it := 0; it < totalIters; it++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		x, labels, err := batches.Next()
-		if err != nil {
-			return 0, err
-		}
-		if _, err := exec.TrainBatch(ctx, x, labels); err != nil {
-			return 0, err
-		}
-		if err := opt.Step(); err != nil {
-			return 0, err
-		}
-	}
-	conf, err := metrics.NewConfusion(test.Classes)
-	if err != nil {
-		return 0, err
-	}
-	for lo := 0; lo < test.Len(); lo += evalBatchSize {
-		hi := lo + evalBatchSize
-		if hi > test.Len() {
-			hi = test.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		x, labels, err := test.Slice(idx)
-		if err != nil {
-			return 0, err
-		}
-		preds, err := exec.Predict(ctx, x)
-		if err != nil {
-			return 0, err
-		}
-		for i, p := range preds {
-			if err := conf.Add(labels[i], p); err != nil {
-				return 0, err
-			}
-		}
 	}
 	return conf.Accuracy(), nil
 }

@@ -155,10 +155,11 @@ func (s *Suite) InferSweep(ctx context.Context, cfg InferConfig) (*InferReport, 
 		if err != nil {
 			return nil, err
 		}
-		acc, err := s.evalAccuracy(ctx, exec, testSet, col.prep)
+		conf, err := s.evaluate(ctx, exec, testSet, col.prep)
 		if err != nil {
 			return nil, fmt.Errorf("core: infer eval %v: %w", col.fw, err)
 		}
+		acc := conf.Accuracy()
 		for _, b := range cfg.BatchSizes {
 			cell, err := s.measureInferPoint(ctx, exec, testSet, col.prep, b, cfg)
 			if err != nil {
@@ -286,44 +287,19 @@ func (s *Suite) resnetModel(ctx context.Context, ds framework.DatasetID) (*nn.Ne
 	if err := nn.InitNetwork(net, defaults.Init, rng.Split()); err != nil {
 		return nil, err
 	}
-	exec, err := framework.NewTracedExecutor(framework.TensorFlow, net, defaults.BatchSize, s.Obs)
-	if err != nil {
-		return nil, err
-	}
 	trainSet, _, err := s.Datasets(ds)
 	if err != nil {
 		return nil, err
 	}
-	prep := framework.PreprocessingFor(framework.TensorFlow, ds)
-	epochs := s.scaledEpochs(defaults, ds)
-	itersPerEpoch := (trainSet.Len() + defaults.BatchSize - 1) / defaults.BatchSize
-	totalIters := epochs * itersPerEpoch
-	opt, err := defaults.NewOptimizer(net.Params(), totalIters)
-	if err != nil {
-		return nil, err
-	}
-	batches, err := data.NewBatches(trainSet, defaults.BatchSize, rng.Split())
+	r, err := s.newRun("resnet TF on "+ds.String(), framework.TensorFlow, ds, defaults, net, trainSet, rng)
 	if err != nil {
 		return nil, err
 	}
 	span := s.Obs.Span("infer.resnet.train", "suite")
 	defer span.End()
-	s.progress("train resnet on %-8s (%d epochs, %d iters) for inference sweep", ds, epochs, totalIters)
-	for it := 0; it < totalIters; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		x, labels, err := batches.Next()
-		if err != nil {
-			return nil, err
-		}
-		framework.ApplyPreprocessingObs(prep, x, s.Obs)
-		if _, err := exec.TrainBatch(ctx, x, labels); err != nil {
-			return nil, err
-		}
-		if err := opt.Step(); err != nil {
-			return nil, err
-		}
+	s.progress("train resnet on %-8s (%d epochs, %d iters) for inference sweep", ds, r.epochs, r.totalIters)
+	if err := s.runIters(ctx, r, 0); err != nil {
+		return nil, err
 	}
 	net.ReleaseBuffers()
 	s.mu.Lock()
@@ -332,38 +308,37 @@ func (s *Suite) resnetModel(ctx context.Context, ds framework.DatasetID) (*nn.Ne
 	return net, nil
 }
 
-// evalAccuracy runs the column over the full test set at the standard
-// evaluation batch size.
-func (s *Suite) evalAccuracy(ctx context.Context, exec engine.Executor, testSet *data.Dataset, prep framework.Preprocessing) (float64, error) {
+// evaluate scores exec over the full test set at the standard evaluation
+// batch size, each batch through the column's input pipeline. It is the
+// suite's only scoring loop: training cells, the noise sweep and every
+// inference column use it.
+func (s *Suite) evaluate(ctx context.Context, exec engine.Executor, testSet *data.Dataset, prep framework.Preprocessing) (*metrics.Confusion, error) {
 	conf, err := metrics.NewConfusion(testSet.Classes)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	for lo := 0; lo < testSet.Len(); lo += evalBatchSize {
-		hi := lo + evalBatchSize
-		if hi > testSet.Len() {
-			hi = testSet.Len()
-		}
+		hi := min(lo+evalBatchSize, testSet.Len())
 		idx := make([]int, hi-lo)
 		for i := range idx {
 			idx[i] = lo + i
 		}
 		x, labels, err := testSet.Slice(idx)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		framework.ApplyPreprocessingObs(prep, x, s.Obs)
 		preds, err := exec.Predict(ctx, x)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		for i, p := range preds {
 			if err := conf.Add(labels[i], p); err != nil {
-				return 0, err
+				return nil, err
 			}
 		}
 	}
-	return conf.Accuracy(), nil
+	return conf, nil
 }
 
 // measureInferPoint times cfg.Requests single requests of batch size b

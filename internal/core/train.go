@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -24,7 +23,6 @@ import (
 // is in flight: everything a checkpoint must capture and a rollback must
 // restore.
 type trainingRun struct {
-	spec     RunSpec
 	cell     string
 	defaults framework.TrainingDefaults
 	prep     framework.Preprocessing
@@ -33,13 +31,16 @@ type trainingRun struct {
 	opt      optim.Optimizer
 	batches  *data.Batches
 
+	epochs        int
 	totalIters    int
 	itersPerEpoch int
 	lossEvery     int
 
-	// Resilience state.
+	// Resilience state. The zero policy, a nil injector and a zero
+	// ckptEvery (no periodic captures) leave runIters a plain loop.
 	policy     resilience.Policy
 	injector   *resilience.Injector
+	ckptEvery  int
 	faultsSeen int64
 	attempt    int
 	lrScale    float64
@@ -49,6 +50,43 @@ type trainingRun struct {
 	lossHistory []metrics.LossPoint
 	// trainWall accumulates training wall time across attempts.
 	trainWall float64
+}
+
+// newRun sets up what runIters drives for net: fw's executor traced into
+// the suite, the setting's optimizer over its scaled epoch budget, and a
+// batch iterator over trainSet shuffled by rng.Split(). Inputs go through
+// fw's pipeline for ds.
+func (s *Suite) newRun(cell string, fw framework.ID, ds framework.DatasetID, defaults framework.TrainingDefaults, net *nn.Network, trainSet *data.Dataset, rng *tensor.RNG) (*trainingRun, error) {
+	exec, err := framework.NewTracedExecutor(fw, net, defaults.BatchSize, s.Obs)
+	if err != nil {
+		return nil, err
+	}
+	epochs := s.scaledEpochs(defaults, ds)
+	itersPerEpoch := (trainSet.Len() + defaults.BatchSize - 1) / defaults.BatchSize
+	totalIters := epochs * itersPerEpoch
+	opt, err := defaults.NewOptimizer(net.Params(), totalIters)
+	if err != nil {
+		return nil, err
+	}
+	batches, err := data.NewBatches(trainSet, defaults.BatchSize, rng.Split())
+	if err != nil {
+		return nil, err
+	}
+	batches.SetObs(s.Obs)
+	return &trainingRun{
+		cell:          cell,
+		defaults:      defaults,
+		prep:          framework.PreprocessingFor(fw, ds),
+		net:           net,
+		exec:          exec,
+		opt:           opt,
+		batches:       batches,
+		epochs:        epochs,
+		totalIters:    totalIters,
+		itersPerEpoch: max(itersPerEpoch, 1),
+		lossEvery:     max(totalIters/s.scale.LossPoints, 1),
+		lrScale:       1,
+	}, nil
 }
 
 // train performs the actual scaled training run, with the resilience
@@ -87,20 +125,10 @@ func (s *Suite) train(ctx context.Context, spec RunSpec, key modelKey) (*trained
 	if err := nn.InitNetwork(net, defaults.Init, rng.Split()); err != nil {
 		return nil, err
 	}
-	exec, err := framework.NewTracedExecutor(spec.Framework, net, defaults.BatchSize, s.Obs)
-	if err != nil {
-		return nil, err
-	}
 	trainSet, testSet, err := s.Datasets(spec.Data)
 	if err != nil {
 		return nil, err
 	}
-
-	// Input preprocessing follows the executing framework's data pipeline
-	// for the dataset (see framework.PreprocessingFor) — settings tuned
-	// against one pipeline can explode on another, which is the paper's
-	// Figure 5 mechanism.
-	prep := framework.PreprocessingFor(spec.Framework, spec.Data)
 
 	// Settings that train on a corpus subset (Torch's CIFAR-10 tutorial)
 	// keep the same subset fraction at reproduction scale.
@@ -118,55 +146,32 @@ func (s *Suite) train(ctx context.Context, spec RunSpec, key modelKey) (*trained
 		}
 	}
 
-	epochs := s.scaledEpochs(defaults, spec.Data)
-	itersPerEpoch := (trainSet.Len() + defaults.BatchSize - 1) / defaults.BatchSize
-	totalIters := epochs * itersPerEpoch
-	opt, err := defaults.NewOptimizer(net.Params(), totalIters)
+	// Input preprocessing follows the executing framework's data pipeline
+	// for the dataset (see framework.PreprocessingFor) — settings tuned
+	// against one pipeline can explode on another, which is the paper's
+	// Figure 5 mechanism.
+	r, err := s.newRun(cell, spec.Framework, spec.Data, defaults, net, trainSet, rng)
 	if err != nil {
 		return nil, err
 	}
-	batches, err := data.NewBatches(trainSet, defaults.BatchSize, rng.Split())
-	if err != nil {
-		return nil, err
-	}
-
-	lossEvery := totalIters / s.scale.LossPoints
-	if lossEvery < 1 {
-		lossEvery = 1
-	}
-	r := &trainingRun{
-		spec:          spec,
-		cell:          cell,
-		defaults:      defaults,
-		prep:          prep,
-		net:           net,
-		exec:          exec,
-		opt:           opt,
-		batches:       batches,
-		totalIters:    totalIters,
-		itersPerEpoch: itersPerEpoch,
-		lossEvery:     lossEvery,
-		policy:        s.Resilience.WithDefaults(),
-		lrScale:       1,
-	}
+	r.policy = s.Resilience
 	// Arm the fault harness for this cell. The injector doubles as the
 	// executor's op hook; when no fault targets the cell the hook stays
 	// uninstalled and the executors keep their nil-check fast path.
 	if r.injector = s.Faults.For(r.cell); r.injector != nil {
-		exec.SetOpHook(func(site string) error { return r.injector.OpError(ctx, site) })
+		r.exec.SetOpHook(func(site string) error { return r.injector.OpError(ctx, site) })
 	}
 
 	tm := &trainedModel{
 		net:          net,
-		epochs:       epochs,
-		iters:        totalIters,
+		epochs:       r.epochs,
+		iters:        r.totalIters,
 		flopsPerSamp: net.FLOPsPerSample(),
-		trainDisp:    exec.Stats().TrainDispatches,
-		inferDisp:    exec.Stats().InferDispatches,
+		trainDisp:    r.exec.Stats().TrainDispatches,
+		inferDisp:    r.exec.Stats().InferDispatches,
 	}
 	s.progress("train %-14s on %-8s under %-10s (%s, %d epochs, %d iters)",
-		spec.settingsLabel(), spec.Data, spec.Framework, spec.Device, epochs, totalIters)
-	batches.SetObs(s.Obs)
+		spec.settingsLabel(), spec.Data, spec.Framework, spec.Device, r.epochs, r.totalIters)
 
 	if err := s.trainResilient(ctx, r); err != nil {
 		return nil, err
@@ -187,39 +192,11 @@ func (s *Suite) train(ctx context.Context, spec RunSpec, key modelKey) (*trained
 	// Evaluate.
 	evalSpan := s.Obs.Span("suite.eval", "suite")
 	evalStart := time.Now()
-	conf, err := metrics.NewConfusion(testSet.Classes)
+	conf, err := s.evaluate(ctx, r.exec, testSet, r.prep)
+	evalSpan.End()
 	if err != nil {
-		evalSpan.End()
 		return nil, err
 	}
-	for lo := 0; lo < testSet.Len(); lo += evalBatchSize {
-		hi := lo + evalBatchSize
-		if hi > testSet.Len() {
-			hi = testSet.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		x, labels, err := testSet.Slice(idx)
-		if err != nil {
-			evalSpan.End()
-			return nil, err
-		}
-		framework.ApplyPreprocessingObs(prep, x, s.Obs)
-		preds, err := exec.Predict(ctx, x)
-		if err != nil {
-			evalSpan.End()
-			return nil, err
-		}
-		for i, p := range preds {
-			if err := conf.Add(labels[i], p); err != nil {
-				evalSpan.End()
-				return nil, err
-			}
-		}
-	}
-	evalSpan.End()
 	tm.testWall = time.Since(evalStart).Seconds()
 	tm.trainWall = r.trainWall
 	tm.testConfusion = conf
@@ -270,10 +247,10 @@ func (r *trainingRun) addWall(d time.Duration) { r.trainWall += d.Seconds() }
 // zero policy and no faults or checkpoints configured, it is exactly one
 // runIters call with no checkpoint captures.
 func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
-	policy := r.policy
-	guard := s.Resilience.Enabled()
-	useCkpt := guard || s.Checkpoints != nil || s.Resume
-	every := policy.CheckpointPeriod(r.totalIters)
+	guard := r.policy.Enabled()
+	if guard || s.Checkpoints != nil || s.Resume {
+		r.ckptEvery = resilience.CheckpointPeriod(r.totalIters)
+	}
 
 	startIter := 0
 	if s.Resume {
@@ -294,13 +271,9 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 			s.progress("  resume %s from checkpoint at iteration %d/%d", r.cell, startIter, r.totalIters)
 		}
 	}
-	if useCkpt && r.mem == nil {
-		cp, err := s.capture(r, 0)
-		if err != nil {
-			return err
-		}
-		r.mem = cp
-		if err := s.Checkpoints.Save(cp); err != nil {
+	if r.ckptEvery > 0 && r.mem == nil {
+		r.mem = s.capture(r, 0)
+		if err := s.Checkpoints.Save(r.mem); err != nil {
 			return err
 		}
 		s.Obs.Counter(resilience.CounterCheckpoints).Inc()
@@ -309,7 +282,7 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 
 	recovered := false
 	for {
-		err := s.runIters(ctx, r, startIter, useCkpt, every)
+		err := s.runIters(ctx, r, startIter)
 		s.syncFaultCounter(r)
 		if err == nil {
 			break
@@ -339,7 +312,7 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 		if !diverged && !errors.Is(err, resilience.ErrInjected) && !errors.Is(err, engine.ErrPanic) {
 			return err
 		}
-		if r.attempt >= policy.MaxRetries {
+		if r.attempt >= r.policy.MaxRetries {
 			return fmt.Errorf("%w after %d attempts: %w", resilience.ErrRetriesExhausted, r.attempt+1, err)
 		}
 		r.attempt++
@@ -353,10 +326,10 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 			// Divergence is a step-size pathology: retry from the last
 			// good state with a decayed learning rate. Injected op faults
 			// and panics are transient; the same rate is kept.
-			r.lrScale *= policy.LRDecay
+			r.lrScale *= resilience.LRDecay
 		}
 		s.progress("  recover %s: attempt %d/%d from iteration %d (lr scale %.3g): %v",
-			r.cell, r.attempt, policy.MaxRetries, r.mem.Iteration, r.lrScale, err)
+			r.cell, r.attempt, r.policy.MaxRetries, r.mem.Iteration, r.lrScale, err)
 		if err := s.rollback(r, r.mem); err != nil {
 			return err
 		}
@@ -364,7 +337,7 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 		s.Obs.Emit("resilience.rollback", map[string]any{"cell": r.cell, "iter": r.mem.Iteration})
 		startIter = r.mem.Iteration
 		recovered = true
-		if err := resilience.Sleep(ctx, resilience.JitteredBackoff(r.attempt-1, policy.BackoffBase, policy.BackoffMax)); err != nil {
+		if err := resilience.Sleep(ctx, resilience.JitteredBackoff(r.attempt-1, resilience.BackoffBase, resilience.BackoffMax)); err != nil {
 			return err
 		}
 	}
@@ -374,11 +347,7 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 	// A completed run leaves a final checkpoint so an interrupted matrix
 	// resumed later skips straight past it.
 	if s.Checkpoints != nil {
-		cp, err := s.capture(r, r.totalIters)
-		if err != nil {
-			return err
-		}
-		if err := s.Checkpoints.Save(cp); err != nil {
+		if err := s.Checkpoints.Save(s.capture(r, r.totalIters)); err != nil {
 			return err
 		}
 		s.Obs.Counter(resilience.CounterCheckpoints).Inc()
@@ -388,8 +357,9 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 }
 
 // runIters runs training iterations [startIter, totalIters), capturing a
-// checkpoint every `every` iterations when useCkpt is set.
-func (s *Suite) runIters(ctx context.Context, r *trainingRun, startIter int, useCkpt bool, every int) (err error) {
+// checkpoint every r.ckptEvery iterations when that is set. It is the
+// suite's only training loop.
+func (s *Suite) runIters(ctx context.Context, r *trainingRun, startIter int) (err error) {
 	guard := r.policy.Enabled()
 	lossGauge := s.Obs.Gauge("suite.loss")
 	iterGauge := s.Obs.Gauge("suite.iter")
@@ -457,13 +427,9 @@ func (s *Suite) runIters(ctx context.Context, r *trainingRun, startIter int, use
 		if it%r.lossEvery == 0 || it == r.totalIters-1 {
 			r.lossHistory = append(r.lossHistory, metrics.LossPoint{Iteration: it, Loss: res.Loss})
 		}
-		if useCkpt && (it+1)%every == 0 && it+1 < r.totalIters {
-			cp, err := s.capture(r, it+1)
-			if err != nil {
-				return err
-			}
-			r.mem = cp
-			if err := s.Checkpoints.Save(cp); err != nil {
+		if r.ckptEvery > 0 && (it+1)%r.ckptEvery == 0 && it+1 < r.totalIters {
+			r.mem = s.capture(r, it+1)
+			if err := s.Checkpoints.Save(r.mem); err != nil {
 				return err
 			}
 			s.Obs.Counter(resilience.CounterCheckpoints).Inc()
@@ -508,20 +474,16 @@ func (s *Suite) checkpointKey(cell string) string {
 }
 
 // capture snapshots the run after `iteration` completed iterations: the
-// weights (via the nn snapshot format), the optimizer state, the batch
-// iterator, the dropout mask RNGs and the loss record. Restoring the
-// snapshot replays the continuation bit-identically.
-func (s *Suite) capture(r *trainingRun, iteration int) (*resilience.Checkpoint, error) {
-	var buf bytes.Buffer
-	if err := nn.SaveParams(&buf, r.net); err != nil {
-		return nil, err
-	}
+// weights, the optimizer state, the batch iterator, the dropout mask RNGs
+// and the loss record. Restoring the snapshot replays the continuation
+// bit-identically.
+func (s *Suite) capture(r *trainingRun, iteration int) *resilience.Checkpoint {
 	cp := &resilience.Checkpoint{
 		Cell:      s.checkpointKey(r.cell),
 		Iteration: iteration,
 		Attempt:   r.attempt,
 		LRScale:   r.lrScale,
-		Params:    buf.Bytes(),
+		Params:    resilience.CaptureParams(r.net),
 		Batches:   r.batches.State(),
 		LastLoss:  r.lastLoss,
 	}
@@ -537,7 +499,7 @@ func (s *Suite) capture(r *trainingRun, iteration int) (*resilience.Checkpoint, 
 		cp.LossIters = append(cp.LossIters, p.Iteration)
 		cp.LossValues = append(cp.LossValues, p.Loss)
 	}
-	return cp, nil
+	return cp
 }
 
 // rollback restores the run to a checkpoint. The optimizer is rebuilt so
@@ -545,7 +507,7 @@ func (s *Suite) capture(r *trainingRun, iteration int) (*resilience.Checkpoint, 
 // then its momentum/moment state is restored; gradients are cleared in
 // case the failure left a partial backward pass accumulated.
 func (s *Suite) rollback(r *trainingRun, cp *resilience.Checkpoint) error {
-	if err := nn.LoadParams(bytes.NewReader(cp.Params), r.net); err != nil {
+	if err := resilience.RestoreParams(r.net, cp.Params); err != nil {
 		return err
 	}
 	for _, p := range r.net.Params() {

@@ -9,17 +9,19 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/data"
+	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
 // checkpointMagic heads every serialized checkpoint; the version byte
-// follows it.
+// follows it. A file of any other version is rejected, not misread.
 const (
 	checkpointMagic   = "DLCK"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // ErrCheckpoint is returned (wrapped) for malformed checkpoint files.
@@ -27,10 +29,10 @@ var ErrCheckpoint = errors.New("resilience: invalid checkpoint")
 
 // Checkpoint is a full snapshot of a training run mid-flight: everything
 // needed to continue (or roll back) with bit-identical results — the
-// parameter snapshot (nn.SaveParams bytes), the optimizer state, the
-// batch-iterator position and the dropout mask RNGs, plus the loss record
-// accumulated so far. It is plain data; the core package captures and
-// restores it.
+// network weights, the optimizer state, the batch-iterator position and
+// the dropout mask RNGs, plus the loss record accumulated so far. It is
+// plain data; the core package captures and restores it, through
+// CaptureParams and RestoreParams for the weights.
 type Checkpoint struct {
 	// Cell identifies the run the snapshot belongs to; core keys it by
 	// matrix cell, seed and scale.
@@ -42,8 +44,9 @@ type Checkpoint struct {
 	// many retries were consumed and the learning-rate scale in effect.
 	Attempt int
 	LRScale float64
-	// Params is the nn.SaveParams snapshot of the network weights.
-	Params []byte
+	// Params holds the network weights, one record per parameter in
+	// network order.
+	Params []ParamRecord
 	// Optim is the optimizer's mutable state.
 	Optim optim.State
 	// Batches is the training batch iterator's position.
@@ -56,6 +59,55 @@ type Checkpoint struct {
 	LossValues []float64
 	// LastLoss is the most recent training loss.
 	LastLoss float64
+}
+
+// ParamRecord is one network parameter's weights in a checkpoint.
+type ParamRecord struct {
+	Name   string
+	Shape  []int
+	Values []float64
+}
+
+// CaptureParams copies net's parameter values out, so training on
+// after the capture does not move the snapshot.
+func CaptureParams(net *nn.Network) []ParamRecord {
+	params := net.Params()
+	recs := make([]ParamRecord, len(params))
+	for i, p := range params {
+		recs[i] = ParamRecord{Name: p.Name, Shape: p.Value.Shape(), Values: slices.Clone(p.Value.Data())}
+	}
+	return recs
+}
+
+// RestoreParams copies records taken by CaptureParams into net, then
+// re-applies the connection masks of its Conv2D layers. The records must
+// match the network's parameters in count, and in name and shape one by
+// one, in order; a checkpoint that does not match leaves net unchanged.
+// Restoring weights into a model defined in code is how the paper's
+// frameworks reload a snapshot.
+func RestoreParams(net *nn.Network, recs []ParamRecord) error {
+	params := net.Params()
+	if len(recs) != len(params) {
+		return fmt.Errorf("%w: checkpoint has %d parameters, network has %d", ErrCheckpoint, len(recs), len(params))
+	}
+	for i, p := range params {
+		r := recs[i]
+		if r.Name != p.Name {
+			return fmt.Errorf("%w: parameter %d is %q, network has %q", ErrCheckpoint, i, r.Name, p.Name)
+		}
+		if !slices.Equal(r.Shape, p.Value.Shape()) || len(r.Values) != p.Value.Len() {
+			return fmt.Errorf("%w: %s has shape %v and %d values, network wants shape %v", ErrCheckpoint, p.Name, r.Shape, len(r.Values), p.Value.Shape())
+		}
+	}
+	for i, p := range params {
+		copy(p.Value.Data(), recs[i].Values)
+	}
+	for _, l := range net.Layers() {
+		if conv, ok := l.(*nn.Conv2D); ok {
+			conv.ApplyMask()
+		}
+	}
+	return nil
 }
 
 // Encode writes the checkpoint to w (magic + version + gob body).

@@ -20,29 +20,11 @@ func TestPolicyEnabled(t *testing.T) {
 	}
 }
 
-func TestPolicyWithDefaults(t *testing.T) {
-	p := Policy{MaxRetries: 2}.WithDefaults()
-	if p.BackoffBase <= 0 || p.BackoffMax <= 0 {
-		t.Fatalf("backoff knobs not defaulted: %+v", p)
-	}
-	if p.LRDecay <= 0 || p.LRDecay >= 1 {
-		t.Fatalf("LRDecay not defaulted: %v", p.LRDecay)
-	}
-	// Explicit knobs survive.
-	q := Policy{MaxRetries: 1, BackoffBase: time.Millisecond, LRDecay: 0.25}.WithDefaults()
-	if q.BackoffBase != time.Millisecond || q.LRDecay != 0.25 {
-		t.Fatalf("explicit knobs overwritten: %+v", q)
-	}
-}
-
 func TestCheckpointPeriod(t *testing.T) {
-	if got := (Policy{}).CheckpointPeriod(100); got != 25 {
-		t.Fatalf("default period for 100 iters = %d, want 25", got)
+	if got := CheckpointPeriod(100); got != 25 {
+		t.Fatalf("period for 100 iters = %d, want 25", got)
 	}
-	if got := (Policy{CheckpointEvery: 7}).CheckpointPeriod(100); got != 7 {
-		t.Fatalf("explicit period = %d, want 7", got)
-	}
-	if got := (Policy{}).CheckpointPeriod(2); got != 1 {
+	if got := CheckpointPeriod(2); got != 1 {
 		t.Fatalf("tiny-run period = %d, want 1", got)
 	}
 }

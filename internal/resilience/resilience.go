@@ -66,44 +66,22 @@ type Policy struct {
 	// MaxRetries is the number of recovery attempts after the first
 	// failure; 0 disables the resilience layer.
 	MaxRetries int
-	// BackoffBase is the delay before the first retry; it doubles per
-	// attempt up to BackoffMax.
-	BackoffBase time.Duration
-	// BackoffMax caps the retry delay.
-	BackoffMax time.Duration
-	// CheckpointEvery is the checkpoint period in iterations; <= 0 picks
-	// a period of totalIters/4 (at least 1).
-	CheckpointEvery int
-	// LRDecay multiplies the learning rate on each divergence retry
-	// (non-divergence retries keep the rate); <= 0 selects 0.5.
-	LRDecay float64
 }
 
 // Enabled reports whether the policy activates the resilience layer.
 func (p Policy) Enabled() bool { return p.MaxRetries > 0 }
 
-// WithDefaults returns p with unset knobs filled in.
-func (p Policy) WithDefaults() Policy {
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = 10 * time.Millisecond
-	}
-	if p.BackoffMax <= 0 {
-		p.BackoffMax = time.Second
-	}
-	if p.LRDecay <= 0 || p.LRDecay >= 1 {
-		p.LRDecay = 0.5
-	}
-	return p
-}
+// The recovery schedule of an enabled policy. Retry attempt n (0-based)
+// waits a jittered BackoffBase·2ⁿ capped at BackoffMax, and a divergence
+// retry multiplies the learning rate by LRDecay (other retries keep it).
+const (
+	BackoffBase = 10 * time.Millisecond
+	BackoffMax  = time.Second
+	LRDecay     = 0.5
+)
 
-// CheckpointPeriod resolves the checkpoint period for a run of totalIters.
-func (p Policy) CheckpointPeriod(totalIters int) int {
-	every := p.CheckpointEvery
-	if every <= 0 {
-		every = totalIters / 4
-	}
-	if every < 1 {
-		every = 1
-	}
-	return every
+// CheckpointPeriod is the checkpoint period, in iterations, for a run of
+// totalIters: a quarter of the run, at least 1.
+func CheckpointPeriod(totalIters int) int {
+	return max(totalIters/4, 1)
 }

@@ -30,6 +30,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -556,12 +557,21 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// decodeSpec reads a POST /jobs body: one JSON JobSpec within 1 MiB. A
-// non-nil w lets the server close the connection of a longer body.
+// decodeSpec reads a POST /jobs body: one JSON JobSpec within 1 MiB and
+// nothing after it but white space. A non-nil w lets the server close the
+// connection of a longer body.
 func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (JobSpec, error) {
 	var spec JobSpec
-	err := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20)).Decode(&spec)
-	return spec, err
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	// Anything after the spec, even a second spec, rejects the whole
+	// body: the daemon must not journal and run part of a request.
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return spec, errors.New("data after the job spec object")
+	}
+	return spec, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

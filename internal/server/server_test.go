@@ -130,11 +130,24 @@ func TestBadSpecRejected(t *testing.T) {
 		`{"framework":"tf","dataset":"svhn"}`,
 		`{"framework":"tf","dataset":"mnist","faults":"explode@1"}`,
 		`{"framework":"tf","dataset":"mnist","scale":"galactic"}`,
+		// Anything after the spec object rejects the whole body.
+		`{"framework":"tf","dataset":"mnist"} not json at all`,
+		`{"framework":"tf","dataset":"mnist"}{"framework":"caffe","dataset":"mnist"}`,
+		`{"framework":"tf","dataset":"mnist"} 7`,
 	} {
 		code, reply := submit(t, ts, bad, "")
 		if code != http.StatusBadRequest || reply.Status != "invalid" {
 			t.Errorf("submit(%s): got %d %q, want 400 invalid", bad, code, reply.Status)
 		}
+	}
+}
+
+// TestTrailingWhiteSpaceAccepted: white space after the spec object is
+// not data, so a body ending in a newline still runs.
+func TestTrailingWhiteSpaceAccepted(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if code, reply := submit(t, ts, "{\"framework\":\"tf\",\"dataset\":\"mnist\"}\n \t", ""); code != http.StatusAccepted {
+		t.Fatalf("spec with trailing white space: got %d %+v, want 202", code, reply)
 	}
 }
 
