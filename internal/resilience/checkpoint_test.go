@@ -70,20 +70,38 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
+	cases := map[string][]byte{
+		"short":     []byte("DLC"),
+		"torn body": []byte("DLCK\x02"),
+	}
+	for name, raw := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeCheckpoint(bytes.NewReader(raw)); !errors.Is(err, ErrCheckpoint) {
+				t.Fatalf("got %v, want ErrCheckpoint", err)
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsCorruptCheckpoints: a valid encoded checkpoint that is
+// emptied, cut short, or has its magic or version byte changed is
+// rejected with ErrCheckpoint.
+func TestDecodeRejectsCorruptCheckpoints(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleCheckpoint("cell").Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	version1 := append([]byte(nil), valid...)
-	version1[4] = 1
+	withByte := func(i int, v byte) []byte {
+		c := append([]byte(nil), valid...)
+		c[i] = v
+		return c
+	}
 	cases := map[string][]byte{
-		"empty":       nil,
-		"short":       []byte("DLC"),
-		"bad magic":   []byte("NOPE\x01rest"),
-		"bad version": []byte("DLCK\x7frest"),
-		"version 1":   version1,
-		"torn body":   []byte("DLCK\x02"),
+		"empty":       valid[:0],
+		"bad magic":   withByte(0, 'X'),
+		"bad version": withByte(4, 99),
+		"version 1":   withByte(4, 1),
 		"truncated":   valid[:len(valid)/2],
 	}
 	for name, raw := range cases {
