@@ -22,8 +22,8 @@ import (
 func runServe(ctx context.Context, args []string, sink *progressSink) error {
 	fs := flag.NewFlagSet("dlbench serve", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address (port 0 picks a free port)")
-	workers := fs.Int("workers", 2, "worker count (also the queue shard count)")
-	queueCap := fs.Int("queue-cap", 16, "per-shard queue capacity (admission control bound)")
+	workers := fs.Int("workers", 2, "worker count; every worker takes jobs from one shared queue")
+	queueCap := fs.Int("queue-cap", 16, "queued jobs across all workers (admission control bound)")
 	rate := fs.Float64("rate", 0, "per-client token-bucket rate in jobs/sec (0 disables rate limiting)")
 	burst := fs.Int("burst", 8, "per-client token-bucket burst")
 	shedHeapMB := fs.Int("shed-heap-mb", 0, "shed new work when heap in-use exceeds this many MiB (0 disables)")
@@ -74,8 +74,8 @@ func runServe(ctx context.Context, args []string, sink *progressSink) error {
 	mux.Handle("/healthz", srv.Handler())
 	// /status carries both layers: the generic process view (uptime,
 	// counters, latest monitor sample) plus the job core's live view
-	// (queue depths per shard, in-flight jobs with their current span,
-	// stage latency summaries) — everything `dlbench top` renders.
+	// (queue depth, in-flight jobs with their current span, stage
+	// latency summaries) — everything `dlbench top` renders.
 	mountIntrospection(mux, tracer, sampler, srv)
 
 	ln, err := newListener(*addr)

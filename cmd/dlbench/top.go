@@ -9,19 +9,17 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/server"
 )
 
 // runTop implements `dlbench top`: a polling terminal dashboard over a
-// running daemon's /status endpoint. Each frame shows the queue depth per
-// shard, every in-flight job with the lifecycle span it is currently
-// inside, p50/p95 per stage (queue wait, execution, end-to-end — the
-// histograms /metrics exports, so bucketed estimates), and the resource
-// monitor's heap/CPU/GC columns. It needs nothing from the daemon beyond
+// running daemon's /status endpoint. Each frame shows the queue depth,
+// every in-flight job with the lifecycle span it is currently inside,
+// p50/p95 per stage (queue wait, execution, end-to-end — the histograms
+// /metrics exports, so bucketed estimates), and the resource monitor's
+// heap/CPU/GC columns. It needs nothing from the daemon beyond
 // that one endpoint, so it works against any reachable instance.
 func runTop(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dlbench top", flag.ContinueOnError)
@@ -86,13 +84,7 @@ func renderTopFrame(out io.Writer, base string, st *status) {
 			occ = float64(sv.Inflight) / float64(sv.Workers)
 		}
 		fmt.Fprintf(out, "workers %d  inflight %d  occupancy %.0f%%\n", sv.Workers, sv.Inflight, occ*100)
-		depths := make([]string, len(sv.QueueDepths))
-		total := 0
-		for i, d := range sv.QueueDepths {
-			depths[i] = strconv.Itoa(d)
-			total += d
-		}
-		fmt.Fprintf(out, "queue depth %d  per shard [%s]\n", total, strings.Join(depths, " "))
+		fmt.Fprintf(out, "queue depth %d\n", sv.QueueDepth)
 
 		fmt.Fprintf(out, "\n%-12s %12s %12s %8s  (quantiles are bucketed estimates)\n", "stage", "p50", "p95", "count")
 		for _, stage := range []string{"queue_wait", "exec", "e2e"} {

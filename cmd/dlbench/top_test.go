@@ -23,7 +23,7 @@ func cannedTopServer(t *testing.T) *httptest.Server {
 		},
 		"server": {
 			"draining": false, "workers": 2, "inflight": 1,
-			"queue_depths": [3, 0],
+			"queue_depth": 3,
 			"active_jobs": [
 				{"id": "j-1", "state": "running", "span": "job.exec", "attempts": 1, "cell": "tf/mnist"},
 				{"id": "j-2", "state": "queued", "span": "job.queue_wait", "attempts": 0, "cell": "torch/mnist"}
@@ -58,7 +58,7 @@ func TestRunTopRendersDashboard(t *testing.T) {
 		"dlbench top",
 		"uptime 12s",
 		"workers 2  inflight 1  occupancy 50%",
-		"queue depth 3  per shard [3 0]",
+		"queue depth 3\n",
 		"queue_wait", "2ms", "40ms",
 		"exec", "500ms", "1.25s",
 		"e2e", "510ms", "1.5s",

@@ -73,7 +73,7 @@ func TestScaledEpochsCompression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.scaledEpochs(d, tt.ds); got != tt.want {
+		if got := s.scaledEpochs(d); got != tt.want {
 			t.Errorf("scaledEpochs(%v, %v) = %d, want %d", tt.fw, tt.ds, got, tt.want)
 		}
 	}
@@ -81,7 +81,7 @@ func TestScaledEpochsCompression(t *testing.T) {
 	// the paper's 2560-epoch outlier.
 	dTF, _ := framework.Defaults(framework.TensorFlow, framework.CIFAR10)
 	dCaffe, _ := framework.Defaults(framework.Caffe, framework.CIFAR10)
-	if s.scaledEpochs(dTF, framework.CIFAR10) <= 2*s.scaledEpochs(dCaffe, framework.CIFAR10) {
+	if s.scaledEpochs(dTF) <= 2*s.scaledEpochs(dCaffe) {
 		t.Error("epoch compression lost the TF CIFAR-10 outlier shape")
 	}
 }

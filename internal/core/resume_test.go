@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/framework"
 	"repro/internal/metrics"
@@ -178,6 +179,45 @@ func TestResumeSkipsCompletedCell(t *testing.T) {
 		t.Errorf("skipped-cell result differs: %v/%v vs %v/%v",
 			second.FinalLoss, second.AccuracyPct, first.FinalLoss, first.AccuracyPct)
 	}
+}
+
+// TestTrainWallLeavesOutSaves: a cell's train wall seconds time its
+// training iterations, not the periodic checkpoint captures and saves
+// inside the loop, which suite.checkpoint spans show instead. The two
+// clocks open and close a few statements apart, so they may differ by a
+// few microseconds; the tolerance is 5 ms, well below one save of the
+// Caffe MNIST net.
+func TestTrainWallLeavesOutSaves(t *testing.T) {
+	s := resumeSuite(t, ScaleTest, 42, t.TempDir())
+	s.Obs = obs.New()
+	row, err := s.RunContext(context.Background(), baselineSpec(framework.Caffe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := s.Obs.Spans()
+	var train, saving time.Duration
+	saves := 0
+	for _, sp := range spans {
+		if sp.Name != "suite.train" {
+			continue
+		}
+		train += sp.Dur
+		for _, c := range spans {
+			if c.Name == "suite.checkpoint" && c.Start >= sp.Start && c.Start+c.Dur <= sp.Start+sp.Dur {
+				saving += c.Dur
+				saves++
+			}
+		}
+	}
+	if saves == 0 {
+		t.Fatal("no suite.checkpoint span inside suite.train")
+	}
+	const tolerance = 5 * time.Millisecond
+	if limit := train - saving + tolerance; row.Train.WallSeconds > limit.Seconds() {
+		t.Fatalf("train wall %.4fs > suite.train %v - %d checkpoint spans %v + %v",
+			row.Train.WallSeconds, train, saves, saving, tolerance)
+	}
+	t.Logf("train wall %.4fs, suite.train %v, %d checkpoints %v", row.Train.WallSeconds, train, saves, saving)
 }
 
 // TestGuardFailsFastOnNonFiniteLoss: a NaN loss with more firings than

@@ -216,7 +216,7 @@ func paperTestSize(framework.DatasetID) int { return 10000 }
 // The epoch count is taken over the setting's own training corpus
 // (d.TrainSamples — Torch's CIFAR-10 tutorial uses a 5,000-sample subset),
 // paired with subsetFraction below.
-func (s *Suite) scaledEpochs(d framework.TrainingDefaults, dataDS framework.DatasetID) int {
+func (s *Suite) scaledEpochs(d framework.TrainingDefaults) int {
 	paperEpochs := float64(d.MaxIters) * float64(d.BatchSize) / float64(d.TrainSamples)
 	e := int(math.Round(s.scale.EpochFactor * math.Log2(1+paperEpochs)))
 	if e < 1 {
@@ -234,7 +234,7 @@ func (s *Suite) scaledEpochs(d framework.TrainingDefaults, dataDS framework.Data
 // The suite reproduces the fraction (relative to the setting's own paper
 // corpus), which costs the same relative data diversity the paper's Torch
 // run paid — wherever the setting is transferred.
-func subsetFraction(d framework.TrainingDefaults, _ framework.DatasetID) float64 {
+func subsetFraction(d framework.TrainingDefaults) float64 {
 	frac := float64(d.TrainSamples) / float64(paperTrainSize(d.Dataset))
 	if frac > 1 {
 		frac = 1

@@ -61,7 +61,7 @@ func (s *Suite) newRun(cell string, fw framework.ID, ds framework.DatasetID, def
 	if err != nil {
 		return nil, err
 	}
-	epochs := s.scaledEpochs(defaults, ds)
+	epochs := s.scaledEpochs(defaults)
 	itersPerEpoch := (trainSet.Len() + defaults.BatchSize - 1) / defaults.BatchSize
 	totalIters := epochs * itersPerEpoch
 	opt, err := defaults.NewOptimizer(net.Params(), totalIters)
@@ -132,7 +132,7 @@ func (s *Suite) train(ctx context.Context, spec RunSpec, key modelKey) (*trained
 
 	// Settings that train on a corpus subset (Torch's CIFAR-10 tutorial)
 	// keep the same subset fraction at reproduction scale.
-	if frac := subsetFraction(defaults, spec.Data); frac < 1 {
+	if frac := subsetFraction(defaults); frac < 1 {
 		n := int(frac * float64(trainSet.Len()))
 		if n < defaults.BatchSize {
 			n = defaults.BatchSize
@@ -272,12 +272,9 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 		}
 	}
 	if r.ckptEvery > 0 && r.mem == nil {
-		r.mem = s.capture(r, 0)
-		if err := s.Checkpoints.Save(r.mem); err != nil {
+		if _, err := s.checkpoint(r, 0); err != nil {
 			return err
 		}
-		s.Obs.Counter(resilience.CounterCheckpoints).Inc()
-		s.Obs.Emit("resilience.checkpoint", map[string]any{"cell": r.cell, "iter": 0})
 	}
 
 	recovered := false
@@ -347,18 +344,35 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 	// A completed run leaves a final checkpoint so an interrupted matrix
 	// resumed later skips straight past it.
 	if s.Checkpoints != nil {
-		if err := s.Checkpoints.Save(s.capture(r, r.totalIters)); err != nil {
+		if _, err := s.checkpoint(r, r.totalIters); err != nil {
 			return err
 		}
-		s.Obs.Counter(resilience.CounterCheckpoints).Inc()
-		s.Obs.Emit("resilience.checkpoint", map[string]any{"cell": r.cell, "iter": r.totalIters})
 	}
 	return nil
 }
 
+// checkpoint captures the run after `iteration` completed iterations as
+// its rollback target and saves it to the store (a no-op without one),
+// inside a suite.checkpoint span. It returns the time taken, which the
+// training clock leaves out: trainWall times training, not the suite's
+// own checkpoint work.
+func (s *Suite) checkpoint(r *trainingRun, iteration int) (time.Duration, error) {
+	start := time.Now()
+	span := s.Obs.Span("suite.checkpoint", "suite")
+	defer span.End()
+	r.mem = s.capture(r, iteration)
+	if err := s.Checkpoints.Save(r.mem); err != nil {
+		return time.Since(start), err
+	}
+	s.Obs.Counter(resilience.CounterCheckpoints).Inc()
+	s.Obs.Emit("resilience.checkpoint", map[string]any{"cell": r.cell, "iter": iteration})
+	return time.Since(start), nil
+}
+
 // runIters runs training iterations [startIter, totalIters), capturing a
 // checkpoint every r.ckptEvery iterations when that is set. It is the
-// suite's only training loop.
+// suite's only training loop. Its wall time, less the checkpoints', adds
+// to r.trainWall.
 func (s *Suite) runIters(ctx context.Context, r *trainingRun, startIter int) (err error) {
 	guard := r.policy.Enabled()
 	lossGauge := s.Obs.Gauge("suite.loss")
@@ -367,7 +381,8 @@ func (s *Suite) runIters(ctx context.Context, r *trainingRun, startIter int) (er
 	iterCount := s.Obs.Counter("suite.iterations")
 	trainSpan := s.Obs.Span("suite.train", "suite")
 	start := time.Now()
-	defer func() { r.addWall(time.Since(start)) }()
+	var saving time.Duration // checkpoint time inside the loop
+	defer func() { r.addWall(time.Since(start) - saving) }()
 	defer trainSpan.End()
 	epochSpan := s.Obs.Span("suite.epoch", "suite")
 	defer func() { epochSpan.End() }()
@@ -428,12 +443,11 @@ func (s *Suite) runIters(ctx context.Context, r *trainingRun, startIter int) (er
 			r.lossHistory = append(r.lossHistory, metrics.LossPoint{Iteration: it, Loss: res.Loss})
 		}
 		if r.ckptEvery > 0 && (it+1)%r.ckptEvery == 0 && it+1 < r.totalIters {
-			r.mem = s.capture(r, it+1)
-			if err := s.Checkpoints.Save(r.mem); err != nil {
+			d, err := s.checkpoint(r, it+1)
+			saving += d
+			if err != nil {
 				return err
 			}
-			s.Obs.Counter(resilience.CounterCheckpoints).Inc()
-			s.Obs.Emit("resilience.checkpoint", map[string]any{"cell": r.cell, "iter": it + 1})
 		}
 	}
 	return nil

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // TestInferSpecValidation pins the admission contract for inference jobs:
@@ -106,6 +108,10 @@ func TestInferJobEndToEnd(t *testing.T) {
 	if v.Result.Framework != "Int8" || v.Result.Dataset != "MNIST" {
 		t.Fatalf("result row = %+v", v.Result)
 	}
+	// The device column is spelled as training rows spell it.
+	if v.Result.Device != "GPU" {
+		t.Fatalf("device column = %q, want GPU", v.Result.Device)
+	}
 	if !strings.HasPrefix(v.Result.Settings, "infer ") {
 		t.Fatalf("settings column %q does not name the serving plan", v.Result.Settings)
 	}
@@ -152,5 +158,45 @@ func TestInferJobEndToEnd(t *testing.T) {
 	}
 	if doneAt != len(lines)-1 || summaryAt > doneAt {
 		t.Fatalf("stream does not terminate with summary then done (summary@%d done@%d of %d)", summaryAt, doneAt, len(lines))
+	}
+}
+
+// TestJobSettingsDoNotLeakToNextJob: the suite settings a job sets end
+// with it. A training job arms the divergence guard and its periodic
+// checkpoint captures (max_retries); an inference job that next trains
+// its model on the same worker's suite must train it as a fresh suite
+// would, with no captures.
+func TestJobSettingsDoNotLeakToNextJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two real cells; skipped under -short")
+	}
+	s, err := New(Config{Workers: 1}) // nil Run selects the suite runner
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck // best-effort teardown
+	}()
+
+	checkpoints := func(j *Job) int64 { return j.tracer.Counter(resilience.CounterCheckpoints).Value() }
+	code, reply := submit(t, ts, `{"framework":"caffe","dataset":"mnist","scale":"test","max_retries":2}`, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("train submit: status %d (%+v)", code, reply)
+	}
+	train := waitState(t, s, reply.ID, StateCompleted)
+	if checkpoints(train) == 0 {
+		t.Fatal("training job with max_retries 2 captured no checkpoints")
+	}
+	code, reply = submit(t, ts, `{"framework":"tf","dataset":"mnist","scale":"test","mode":"infer","requests":2}`, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("infer submit: status %d (%+v)", code, reply)
+	}
+	infer := waitState(t, s, reply.ID, StateCompleted)
+	if n := checkpoints(infer); n != 0 {
+		t.Fatalf("inference job after a training job captured %d checkpoints, want 0 as on a fresh suite", n)
 	}
 }

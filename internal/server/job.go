@@ -220,10 +220,9 @@ func (js *JobSpec) InferConfig() (core.InferConfig, error) {
 	return cfg, nil
 }
 
-// shardKey groups jobs that can share a warm suite (datasets, trained
-// models): the worker pool routes all jobs of one (scale, seed) to one
-// shard, so cache affinity survives concurrency.
-func (js *JobSpec) shardKey() string {
+// suiteKey groups jobs that can share a warm suite (datasets, trained
+// models): each worker caches one suite per (scale, seed).
+func (js *JobSpec) suiteKey() string {
 	return fmt.Sprintf("%s/%d", js.Scale, js.Seed)
 }
 

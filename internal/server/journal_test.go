@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -261,6 +262,68 @@ func TestServerRecoversJournaledJobs(t *testing.T) {
 	s2.BeginDrain() // no HTTP here; exercise the ID counter directly
 	if next := s2.seq.Add(1); next != 3 {
 		t.Fatalf("next seq = %d, want 3 (after j-1, j-2)", next)
+	}
+}
+
+// TestRecoveredJobsStartOnEveryWorker: recovery pushes its jobs back to
+// back before any worker has run. Three journaled jobs with one (scale,
+// seed) must start on both workers at once, and the third must run when
+// a worker frees up: no worker sleeps through a queued job.
+func TestRecoveredJobsStartOnEveryWorker(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	jl, _, _, _, err := openJournal(path)
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
+	ids := []string{"j-1", "j-2", "j-3"}
+	for _, id := range ids {
+		if err := jl.submit(newJob(id, testSpec(), "c", false)); err != nil {
+			t.Fatalf("submit %s: %v", id, err)
+		}
+	}
+	if err := jl.close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	release := make(chan struct{})
+	var mu sync.Mutex
+	ranOn := map[int]int{}
+	run := func(ctx context.Context, worker int, _ *Job) (*metrics.RunResult, error) {
+		mu.Lock()
+		ranOn[worker]++
+		mu.Unlock()
+		select {
+		case <-release:
+			return &metrics.RunResult{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	s, err := New(Config{Workers: 2, JournalPath: path, Run: run})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck // best-effort teardown
+	}()
+	if got := s.Recovered(); got != 3 {
+		t.Fatalf("recovered = %d, want 3", got)
+	}
+	waitState(t, s, "j-1", StateRunning)
+	waitState(t, s, "j-2", StateRunning)
+	if j, _ := s.Job("j-3"); j.State() != StateQueued {
+		t.Fatalf("j-3 state = %s with both workers busy, want queued", j.State())
+	}
+	close(release)
+	for _, id := range ids {
+		waitState(t, s, id, StateCompleted)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ranOn) != 2 || ranOn[0]+ranOn[1] != 3 {
+		t.Fatalf("jobs per worker = %v, want all 3 jobs spread over workers 0 and 1", ranOn)
 	}
 }
 

@@ -1,110 +1,75 @@
 package server
 
-import (
-	"hash/fnv"
-	"sync"
-)
+import "sync"
 
-// queue is the bounded, sharded admission queue. Each shard is an
-// independent FIFO feeding one worker, and jobs are routed by shard key
-// (scale/seed), so a warm shard keeps serving its datasets and models
-// from cache while other shards stay isolated. Admission fails — never
-// blocks — when the target shard is full: backpressure must reach the
-// client as a 429, not stall the HTTP handler pool.
+// queue is the bounded admission FIFO that every worker pops from, so no
+// worker idles while a job waits. Admission fails — never blocks — when
+// the queue is full: backpressure must reach the client as a 429, not
+// stall the HTTP handler pool.
 type queue struct {
 	mu     sync.Mutex
-	shards []shardQueue
-	cap    int // per-shard capacity
+	jobs   []*Job
+	cap    int
 	closed bool
-	// wake signals workers that their shard may have work (one channel
-	// per shard, capacity 1: a lost wakeup is re-posted by the next push,
-	// and workers re-check the FIFO before sleeping).
-	wake []chan struct{}
+	// ready wakes workers blocked in pop. Each push signals one waiter
+	// for its one job, and a worker re-checks the FIFO under mu before it
+	// waits, so back-to-back pushes wake as many workers as there are
+	// jobs and no wakeup is lost.
+	ready *sync.Cond
 }
 
-type shardQueue struct {
-	jobs []*Job
-}
-
-// newQueue builds a queue with n shards of per-shard capacity c.
-func newQueue(n, c int) *queue {
-	q := &queue{shards: make([]shardQueue, n), cap: c, wake: make([]chan struct{}, n)}
-	for i := range q.wake {
-		q.wake[i] = make(chan struct{}, 1)
-	}
+// newQueue builds a queue holding at most c jobs.
+func newQueue(c int) *queue {
+	q := &queue{cap: c}
+	q.ready = sync.NewCond(&q.mu)
 	return q
 }
 
-// shardFor routes a job to its shard by hashing the shard key, giving
-// every (scale, seed) family a home worker whose suite cache stays warm.
-// The modulo is taken in uint32: where int is 32 bits, int(h.Sum32())
-// wraps negative for hashes above 2^31.
-func (q *queue) shardFor(j *Job) int {
-	h := fnv.New32a()
-	h.Write([]byte(j.Spec.shardKey()))
-	return int(h.Sum32() % uint32(len(q.shards)))
-}
-
-// push enqueues j on its shard. It reports false when the shard is full
-// or the queue is closed — the admission-control signal.
+// push enqueues j. It reports false when the queue is full or closed —
+// the admission-control signal.
 func (q *queue) push(j *Job) bool {
-	shard := q.shardFor(j)
 	q.mu.Lock()
-	if q.closed || len(q.shards[shard].jobs) >= q.cap {
-		q.mu.Unlock()
+	defer q.mu.Unlock()
+	if q.closed || len(q.jobs) >= q.cap {
 		return false
 	}
-	q.shards[shard].jobs = append(q.shards[shard].jobs, j)
-	q.mu.Unlock()
-	select {
-	case q.wake[shard] <- struct{}{}:
-	default:
-	}
+	q.jobs = append(q.jobs, j)
+	q.ready.Signal()
 	return true
 }
 
-// pop dequeues the oldest job of shard, nil when empty.
-func (q *queue) pop(shard int) *Job {
+// pop blocks until a job is queued or the queue closes, and returns the
+// oldest job, or nil once the queue is closed: jobs still queued then
+// stay for drainPending.
+func (q *queue) pop() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := &q.shards[shard]
-	if len(s.jobs) == 0 {
+	for len(q.jobs) == 0 && !q.closed {
+		q.ready.Wait()
+	}
+	if q.closed {
 		return nil
 	}
-	j := s.jobs[0]
-	copy(s.jobs, s.jobs[1:])
-	s.jobs[len(s.jobs)-1] = nil
-	s.jobs = s.jobs[:len(s.jobs)-1]
+	j := q.jobs[0]
+	q.jobs[0] = nil
+	q.jobs = q.jobs[1:]
 	return j
 }
 
-// depths returns the per-shard queued counts (index = shard = worker).
-func (q *queue) depths() []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]int, len(q.shards))
-	for i := range q.shards {
-		out[i] = len(q.shards[i].jobs)
-	}
-	return out
-}
-
-// depth returns the total queued count across shards.
+// depth returns the queued count.
 func (q *queue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	n := 0
-	for i := range q.shards {
-		n += len(q.shards[i].jobs)
-	}
-	return n
+	return len(q.jobs)
 }
 
-// close stops admission; queued jobs remain for drain accounting.
+// close stops admission and wakes every waiting worker; queued jobs
+// remain for drain accounting.
 func (q *queue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
+	q.ready.Broadcast()
 }
 
 // drainPending removes and returns every queued job (used at shutdown to
@@ -112,10 +77,7 @@ func (q *queue) close() {
 func (q *queue) drainPending() []*Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var out []*Job
-	for i := range q.shards {
-		out = append(out, q.shards[i].jobs...)
-		q.shards[i].jobs = nil
-	}
+	out := q.jobs
+	q.jobs = nil
 	return out
 }

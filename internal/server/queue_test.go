@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 func qjob(id string, seed uint64) *Job {
@@ -13,73 +14,95 @@ func qjob(id string, seed uint64) *Job {
 	return newJob(id, spec, "", false)
 }
 
-func TestQueueFIFOWithinShard(t *testing.T) {
-	q := newQueue(1, 4)
-	for i := 0; i < 3; i++ {
-		if !q.push(qjob(fmt.Sprintf("j-%d", i), 42)) {
+func TestQueueFIFO(t *testing.T) {
+	q := newQueue(4)
+	// Jobs leave in arrival order whatever their (scale, seed).
+	for i, seed := range []uint64{42, 7, 42} {
+		if !q.push(qjob(fmt.Sprintf("j-%d", i), seed)) {
 			t.Fatalf("push %d rejected below capacity", i)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		j := q.pop(0)
+		j := q.pop()
 		if j == nil || j.ID != fmt.Sprintf("j-%d", i) {
 			t.Fatalf("pop %d = %v, want j-%d", i, j, i)
 		}
 	}
-	if q.pop(0) != nil {
-		t.Fatal("pop on empty shard returned a job")
+	// An empty queue yields no job: pop waits until a push lands.
+	got := make(chan *Job, 1)
+	go func() { got <- q.pop() }()
+	select {
+	case j := <-got:
+		t.Fatalf("pop on empty queue returned %v", j)
+	case <-time.After(20 * time.Millisecond):
+	}
+	q.push(qjob("j-3", 42))
+	select {
+	case j := <-got:
+		if j == nil || j.ID != "j-3" {
+			t.Fatalf("woken pop = %v, want j-3", j)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("push did not wake the waiting pop")
 	}
 }
 
 func TestQueueRejectsAtCapacity(t *testing.T) {
-	q := newQueue(1, 2)
-	if !q.push(qjob("j-1", 42)) || !q.push(qjob("j-2", 42)) {
+	q := newQueue(2)
+	if !q.push(qjob("j-1", 42)) || !q.push(qjob("j-2", 7)) {
 		t.Fatal("pushes below capacity rejected")
 	}
-	if q.push(qjob("j-3", 42)) {
-		t.Fatal("push above per-shard capacity admitted")
+	if q.push(qjob("j-3", 3)) {
+		t.Fatal("push above capacity admitted")
 	}
 	if q.depth() != 2 {
 		t.Fatalf("depth = %d, want 2", q.depth())
 	}
 }
 
-func TestQueueShardAffinity(t *testing.T) {
-	q := newQueue(4, 4)
-	// Same (scale, seed) always routes to the same shard; the cache-warm
-	// worker owns the whole job family.
-	a, b := qjob("j-1", 7), qjob("j-2", 7)
-	if q.shardFor(a) != q.shardFor(b) {
-		t.Fatalf("equal shard keys routed apart: %d vs %d", q.shardFor(a), q.shardFor(b))
+// TestQueueBackToBackPushesWakeEveryWorker: as many jobs pushed at once
+// as workers waiting wake all of them; none stays asleep with a job
+// queued.
+func TestQueueBackToBackPushesWakeEveryWorker(t *testing.T) {
+	const workers = 3
+	q := newQueue(workers)
+	got := make(chan *Job, workers)
+	for i := 0; i < workers; i++ {
+		go func() { got <- q.pop() }()
 	}
-	// Distinct seeds spread across shards (FNV over 64 seeds must hit
-	// more than one of 4 shards).
-	seen := map[int]bool{}
-	for seed := uint64(1); seed <= 64; seed++ {
-		seen[q.shardFor(qjob("j-x", seed))] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("64 seeds all hashed to one shard: %v", seen)
-	}
-	// Every index must be a real shard, also where int is 32 bits and a
-	// hash above 2^31 would wrap negative; 3 shards is not a power of two,
-	// so a wrapped hash shows up as a negative remainder.
-	q3 := newQueue(3, 4)
-	for seed := uint64(1); seed <= 64; seed++ {
-		if i := q3.shardFor(qjob("j-x", seed)); i < 0 || i >= 3 {
-			t.Fatalf("seed %d routed to shard %d, want [0, 3)", seed, i)
+	time.Sleep(20 * time.Millisecond) // let the workers block in pop
+	for i := 0; i < workers; i++ {
+		if !q.push(qjob(fmt.Sprintf("j-%d", i), 42)) {
+			t.Fatalf("push %d rejected", i)
 		}
+	}
+	seen := map[string]bool{}
+	for i := 0; i < workers; i++ {
+		select {
+		case j := <-got:
+			seen[j.ID] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d waiting workers woke for %d queued jobs (depth %d)", i, workers, workers, q.depth())
+		}
+	}
+	if len(seen) != workers {
+		t.Fatalf("workers took %v, want %d distinct jobs", seen, workers)
 	}
 }
 
 func TestQueueCloseStopsAdmissionAndDrains(t *testing.T) {
-	q := newQueue(2, 4)
+	q := newQueue(4)
 	if !q.push(qjob("j-1", 1)) || !q.push(qjob("j-2", 2)) {
 		t.Fatal("setup pushes rejected")
 	}
 	q.close()
 	if q.push(qjob("j-3", 3)) {
 		t.Fatal("push admitted after close")
+	}
+	// A closed queue hands no more jobs to workers; what is queued stays
+	// for drainPending.
+	if j := q.pop(); j != nil {
+		t.Fatalf("pop after close returned %s", j.ID)
 	}
 	left := q.drainPending()
 	if len(left) != 2 {

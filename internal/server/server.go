@@ -5,16 +5,16 @@
 // this package supplies the robustness layer such a service needs when
 // many clients submit many (framework, dataset, workload) jobs:
 //
-//   - Admission control: a bounded, sharded job queue. A full shard
-//     rejects with 429 + Retry-After instead of queueing unboundedly;
-//     per-client token buckets stop any one client from starving the
-//     rest; and a monitor-driven watermark sheds new work with 503 when
-//     heap or CPU pressure says the daemon should degrade rather than
-//     OOM.
-//   - Fault isolation: each job runs on a sharded worker pool with a
-//     per-job deadline, panic containment and jittered-backoff retries
-//     (reusing internal/resilience), so a diverging, crashing or
-//     panicking job fails alone while the daemon keeps serving.
+//   - Admission control: one bounded job queue that every worker pops
+//     from. A full queue rejects with 429 + Retry-After instead of
+//     queueing unboundedly; per-client token buckets stop any one client
+//     from starving the rest; and a monitor-driven watermark sheds new
+//     work with 503 when heap or CPU pressure says the daemon should
+//     degrade rather than OOM.
+//   - Fault isolation: each job runs on a worker pool with a per-job
+//     deadline, panic containment and jittered-backoff retries (reusing
+//     internal/resilience), so a diverging, crashing or panicking job
+//     fails alone while the daemon keeps serving.
 //   - Crash safety: accepted jobs are journaled (fsync before the 202);
 //     a daemon killed hard replays the journal on restart and re-runs
 //     everything that was accepted but never finished. SIGTERM drains:
@@ -87,9 +87,9 @@ const (
 // Config parameterizes New. The zero value is usable for tests: 2
 // workers, a small queue, no rate limit, no shedding, no journal.
 type Config struct {
-	// Workers is the worker (and queue shard) count; default 2.
+	// Workers is the worker count; default 2.
 	Workers int
-	// QueueCap is the per-shard queue capacity; default 16.
+	// QueueCap bounds the jobs queued for all workers; default 16.
 	QueueCap int
 	// RatePerSec and Burst parameterize the per-client token bucket;
 	// RatePerSec <= 0 disables rate limiting.
@@ -208,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 	hardCtx, hardStop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
-		q:        newQueue(cfg.Workers, cfg.QueueCap),
+		q:        newQueue(cfg.QueueCap),
 		lim:      newLimiter(cfg.RatePerSec, cfg.Burst),
 		tracer:   tr,
 		draining: make(chan struct{}),
@@ -358,8 +358,8 @@ type StatusView struct {
 	Draining bool  `json:"draining"`
 	Workers  int   `json:"workers"`
 	Inflight int64 `json:"inflight"`
-	// QueueDepths is per shard (index = shard = worker).
-	QueueDepths []int `json:"queue_depths"`
+	// QueueDepth is the number of queued jobs no worker has taken yet.
+	QueueDepth int `json:"queue_depth"`
 	// ActiveJobs lists every non-terminal job with its current lifecycle
 	// span — what each worker (and the queue) is doing right now.
 	ActiveJobs []ActiveJob `json:"active_jobs,omitempty"`
@@ -385,10 +385,10 @@ type ActiveJob struct {
 // Status snapshots the daemon for live introspection.
 func (s *Server) Status() StatusView {
 	sv := StatusView{
-		Draining:    s.Draining(),
-		Workers:     s.cfg.Workers,
-		Inflight:    s.inflight.Load(),
-		QueueDepths: s.q.depths(),
+		Draining:   s.Draining(),
+		Workers:    s.cfg.Workers,
+		Inflight:   s.inflight.Load(),
+		QueueDepth: s.q.depth(),
 		Stages: map[string]obs.DurStats{
 			"queue_wait": s.hQueueWait.Stats(),
 			"exec":       s.hExec.Stats(),

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/resilience"
@@ -165,9 +166,9 @@ func TestUnknownJob404(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejectsWith429 fills the single shard past capacity while
-// the one worker is blocked, and checks the overflow submission is
-// rejected with 429 + Retry-After rather than queued or blocked.
+// TestQueueFullRejectsWith429 fills the queue past capacity while the
+// one worker is blocked, and checks the overflow submission is rejected
+// with 429 + Retry-After rather than queued or blocked.
 func TestQueueFullRejectsWith429(t *testing.T) {
 	release := make(chan struct{})
 	blockRun := func(ctx context.Context, _ int, _ *Job) (*metrics.RunResult, error) {
@@ -182,8 +183,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	defer close(release)
 
 	// First job occupies the worker. Wait for it to leave the queue, then
-	// fill the queue exactly to capacity — every job shares one (scale,
-	// seed), so they all land on the single shard.
+	// fill the queue exactly to capacity.
 	code, first := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: status %d, want 202", code)
@@ -216,6 +216,36 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	}
 }
 
+// TestSameKeyJobsRunConcurrently: jobs that share one (scale, seed) are
+// not pinned to one worker, so two of them run at once on two workers.
+func TestSameKeyJobsRunConcurrently(t *testing.T) {
+	release := make(chan struct{})
+	blockRun := func(ctx context.Context, _ int, _ *Job) (*metrics.RunResult, error) {
+		select {
+		case <-release:
+			return &metrics.RunResult{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	s, ts := newTestServer(t, Config{Workers: 2, Run: blockRun})
+	defer close(release)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		code, reply := submit(t, ts, `{"framework":"tf","dataset":"mnist","seed":7}`, "")
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d, want 202", i, code)
+		}
+		ids = append(ids, reply.ID)
+	}
+	for _, id := range ids {
+		waitState(t, s, id, StateRunning)
+	}
+	if sv := s.Status(); sv.Inflight != 2 || sv.QueueDepth != 0 {
+		t.Fatalf("status inflight/queue depth = %d/%d, want 2/0", sv.Inflight, sv.QueueDepth)
+	}
+}
+
 func TestRateLimitPerClient(t *testing.T) {
 	_, ts := newTestServer(t, Config{RatePerSec: 0.001, Burst: 1})
 	spec := `{"framework":"tf","dataset":"mnist"}`
@@ -239,11 +269,11 @@ func TestRateLimitPerClient(t *testing.T) {
 // whose run dies with an injected crash fails alone; the daemon accepts
 // and completes the next job.
 func TestCrashFaultFailsOnlyThatJob(t *testing.T) {
-	crashRun := func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
+	crashRun := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
 		if j.Spec.Faults != "" {
 			return nil, fmt.Errorf("%w: at iteration 1", resilience.ErrInjectedCrash)
 		}
-		return okRun(ctx, shard, j)
+		return okRun(ctx, worker, j)
 	}
 	s, ts := newTestServer(t, Config{Run: crashRun})
 	_, crash := submit(t, ts, `{"framework":"tf","dataset":"mnist","faults":"crash@1"}`, "")
@@ -259,12 +289,12 @@ func TestCrashFaultFailsOnlyThatJob(t *testing.T) {
 // ErrPanic-wrapped error after the retry budget, and the worker survives.
 func TestPanicContainment(t *testing.T) {
 	var calls atomic.Int64
-	panicRun := func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
+	panicRun := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
 		if j.Spec.Framework == "torch" {
 			calls.Add(1)
 			panic("executor blew up")
 		}
-		return okRun(ctx, shard, j)
+		return okRun(ctx, worker, j)
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, JobRetries: 1, Run: panicRun})
 	_, bad := submit(t, ts, `{"framework":"torch","dataset":"mnist"}`, "")
@@ -284,15 +314,44 @@ func TestPanicContainment(t *testing.T) {
 	waitState(t, s, ok.ID, StateCompleted)
 }
 
+// TestPanicEvictsSuiteAndResetsSettings: a run that panics leaves the
+// worker's suite cache like any failed run, and the settings the job set
+// on the suite are reset first. A nil context makes the run panic inside
+// the training loop.
+func TestPanicEvictsSuiteAndResetsSettings(t *testing.T) {
+	r := newSuiteRunner(nil, 1)
+	j := qjob("j-1", 42)
+	suite, err := core.NewSuite(core.ScaleTest, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.caches[0][j.Spec.suiteKey()] = suite
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("run with a nil context did not panic")
+			}
+		}()
+		r.run(nil, 0, j) //nolint:staticcheck // the nil context is the injected panic
+	}()
+	if len(r.caches[0]) != 0 {
+		t.Fatalf("suite still cached after a panicked run: %v", r.caches[0])
+	}
+	if suite.Obs != nil || suite.Progress != nil || suite.Faults != nil || suite.Resilience != (resilience.Policy{}) {
+		t.Fatalf("job settings left on the suite: obs %v progress set %v faults %v resilience %+v",
+			suite.Obs != nil, suite.Progress != nil, suite.Faults, suite.Resilience)
+	}
+}
+
 // TestTransientFailureRetriesWithBackoff: one injected-fault failure, then
 // success — the job completes on attempt 2.
 func TestTransientFailureRetriesWithBackoff(t *testing.T) {
 	var calls atomic.Int64
-	flaky := func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
+	flaky := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
 		if calls.Add(1) == 1 {
 			return nil, fmt.Errorf("%w: op error", resilience.ErrInjected)
 		}
-		return okRun(ctx, shard, j)
+		return okRun(ctx, worker, j)
 	}
 	s, ts := newTestServer(t, Config{JobRetries: 2, Run: flaky})
 	_, reply := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
@@ -325,10 +384,10 @@ func TestDeadlineFailsJob(t *testing.T) {
 // already expired deadline.
 func TestHugeTimeoutClampedToMax(t *testing.T) {
 	var left atomic.Int64
-	run := func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
+	run := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
 		d, _ := ctx.Deadline()
 		left.Store(int64(time.Until(d)))
-		return okRun(ctx, shard, j)
+		return okRun(ctx, worker, j)
 	}
 	s, ts := newTestServer(t, Config{MaxJobTimeout: time.Minute, Run: run})
 	_, reply := submit(t, ts, `{"framework":"tf","dataset":"mnist","timeout_ms":9300000000000}`, "")

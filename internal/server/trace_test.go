@@ -308,8 +308,8 @@ func TestStatusShowsActiveJobsWithSpans(t *testing.T) {
 	if sv.Workers != 1 || sv.Inflight != 1 {
 		t.Fatalf("status workers/inflight = %d/%d, want 1/1", sv.Workers, sv.Inflight)
 	}
-	if len(sv.QueueDepths) != 1 || sv.QueueDepths[0] != 1 {
-		t.Fatalf("queue depths = %v, want [1]", sv.QueueDepths)
+	if sv.QueueDepth != 1 {
+		t.Fatalf("queue depth = %d, want 1", sv.QueueDepth)
 	}
 	spans := map[string]string{}
 	for _, aj := range sv.ActiveJobs {

@@ -13,39 +13,24 @@ import (
 	"repro/internal/resilience"
 )
 
-// RunFunc executes one job attempt and returns its result. The production
-// implementation trains the job's cell over the existing executors; tests
-// substitute stubs to exercise the robustness machinery without training.
-type RunFunc func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error)
+// RunFunc executes one job attempt on the given worker and returns its
+// result. The production implementation trains the job's cell over the
+// existing executors; tests substitute stubs to exercise the robustness
+// machinery without training.
+type RunFunc func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error)
 
-// worker is one shard's service loop: it drains its shard FIFO, sleeping
-// on the shard's wake channel when empty, and exits when drain starts
-// (after finishing the job in hand — that is the graceful half of the
-// drain contract).
-func (s *Server) worker(shard int) {
+// worker is one service loop: it takes the oldest queued job, runs it,
+// and exits once drain starts (after finishing the job in hand — that is
+// the graceful half of the drain contract).
+func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-s.draining:
-			return
-		default:
-		}
-		j := s.q.pop(shard)
+		j := s.q.pop()
 		if j == nil {
-			select {
-			case <-s.draining:
-				return
-			case <-s.q.wake[shard]:
-				continue
-			}
+			return
 		}
 		s.gQueueDepth.Set(float64(s.q.depth()))
-		s.runJob(shard, j)
-		select {
-		case <-s.draining:
-			return
-		default:
-		}
+		s.runJob(w, j)
 	}
 }
 
@@ -54,7 +39,7 @@ func (s *Server) worker(shard int) {
 // understands as transient, and journaled terminal transitions. A job
 // interrupted by the hard-stop deadline is left non-terminal so the
 // journal recovers it on the next start.
-func (s *Server) runJob(shard int, j *Job) {
+func (s *Server) runJob(w int, j *Job) {
 	s.inflight.Add(1)
 	s.setOccupancy()
 	defer func() {
@@ -85,11 +70,11 @@ func (s *Server) runJob(shard int, j *Job) {
 	for {
 		j.start()
 		j.tracer.Emit("job.start", map[string]any{
-			"id": j.ID, "attempt": j.attempt(), "shard": shard, "cell": j.Spec.Framework + "/" + j.Spec.Dataset,
+			"id": j.ID, "attempt": j.attempt(), "worker": w, "cell": j.Spec.Framework + "/" + j.Spec.Dataset,
 		})
 		exec := j.tracer.Span(SpanExec, "server")
 		ctx, cancel := context.WithTimeout(s.hardCtx, timeout)
-		res, err := s.runAttempt(ctx, shard, j)
+		res, err := s.runAttempt(ctx, w, j)
 		cancel()
 		attemptDur := exec.End()
 		j.addExec(attemptDur)
@@ -155,8 +140,8 @@ func (s *Server) setOccupancy() {
 // runAttempt executes one attempt under panic containment: a panic
 // anywhere in the run path (suite construction, data synthesis, executor
 // dispatch beyond the engine's own recovery) fails this job alone and the
-// shard keeps serving.
-func (s *Server) runAttempt(ctx context.Context, shard int, j *Job) (res *metrics.RunResult, err error) {
+// worker keeps serving.
+func (s *Server) runAttempt(ctx context.Context, w int, j *Job) (res *metrics.RunResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 4096)
@@ -166,7 +151,7 @@ func (s *Server) runAttempt(ctx context.Context, shard int, j *Job) (res *metric
 			err = fmt.Errorf("%w: job runner: %v", engine.ErrPanic, r)
 		}
 	}()
-	return s.run(ctx, shard, j)
+	return s.run(ctx, w, j)
 }
 
 // retryable classifies failures worth a fresh attempt on a clean suite:
@@ -187,33 +172,33 @@ func (s *Server) retryable(err error) bool {
 		errors.Is(err, engine.ErrPanic)
 }
 
-// suiteRunner is the production RunFunc: it trains the job's cell on a
-// per-shard suite cache so jobs sharing (scale, seed) reuse datasets and
-// trained models, while a failure or memory pressure evicts the cache —
-// fault isolation beats cache warmth.
+// suiteRunner is the production RunFunc. Each worker keeps its own suite
+// cache keyed by (scale, seed), so its jobs reuse datasets and trained
+// models, while a failure or memory pressure evicts the cache — fault
+// isolation beats cache warmth.
 type suiteRunner struct {
-	shards []map[string]*core.Suite
+	caches []map[string]*core.Suite // one per worker
 	server *Server
 }
 
-// maxSuitesPerShard bounds each shard's suite cache; beyond it the whole
-// cache is dropped (suites pin datasets and trained models, and a shard
-// hammered with distinct seeds must not accumulate them).
-const maxSuitesPerShard = 4
+// maxSuitesPerWorker bounds each worker's suite cache; beyond it the
+// whole cache is dropped (suites pin datasets and trained models, and a
+// worker fed many distinct seeds must not accumulate them).
+const maxSuitesPerWorker = 4
 
-func newSuiteRunner(s *Server, shards int) *suiteRunner {
-	r := &suiteRunner{shards: make([]map[string]*core.Suite, shards), server: s}
-	for i := range r.shards {
-		r.shards[i] = make(map[string]*core.Suite)
+func newSuiteRunner(s *Server, workers int) *suiteRunner {
+	r := &suiteRunner{caches: make([]map[string]*core.Suite, workers), server: s}
+	for i := range r.caches {
+		r.caches[i] = make(map[string]*core.Suite)
 	}
 	return r
 }
 
-// run executes one attempt. Only the owning shard's worker touches
-// r.shards[shard], so the cache needs no lock.
-func (r *suiteRunner) run(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
-	key := j.Spec.shardKey()
-	suite := r.shards[shard][key]
+// run executes one attempt on worker w's suite for the job's (scale,
+// seed). Only worker w touches r.caches[w], so the cache needs no lock.
+func (r *suiteRunner) run(ctx context.Context, w int, j *Job) (*metrics.RunResult, error) {
+	key := j.Spec.suiteKey()
+	suite := r.caches[w][key]
 	if suite == nil {
 		scale, err := core.ScaleByName(j.Spec.Scale)
 		if err != nil {
@@ -222,11 +207,29 @@ func (r *suiteRunner) run(ctx context.Context, shard int, j *Job) (*metrics.RunR
 		if suite, err = core.NewSuite(scale, j.Spec.Seed); err != nil {
 			return nil, err
 		}
-		if len(r.shards[shard]) >= maxSuitesPerShard {
-			r.shards[shard] = make(map[string]*core.Suite)
+		if len(r.caches[w]) >= maxSuitesPerWorker {
+			r.caches[w] = make(map[string]*core.Suite)
 		}
-		r.shards[shard][key] = suite
+		r.caches[w][key] = suite
 	}
+	// Per-job wiring: the job's own tracer observes this run (streamed on
+	// /jobs/{id}/events) and receives its progress lines. Every field a
+	// job sets is reset when it ends, so a job runs the same on any
+	// worker, whatever ran there before.
+	suite.Obs = j.tracer
+	suite.Progress = func(format string, args ...any) {
+		j.tracer.Emit("job.progress", map[string]any{"id": j.ID, "line": fmt.Sprintf(format, args...)})
+	}
+	completed := false
+	defer func() {
+		suite.Obs, suite.Progress, suite.Faults, suite.Resilience = nil, nil, nil, resilience.Policy{}
+		if !completed {
+			// The failed run may have left the suite mid-state (a
+			// contained panic especially); drop it so the next attempt
+			// starts clean. Fault isolation at the cost of one cold cache.
+			delete(r.caches[w], key)
+		}
+	}()
 	var row *metrics.RunResult
 	var err error
 	if j.Spec.Mode == "infer" {
@@ -235,24 +238,21 @@ func (r *suiteRunner) run(ctx context.Context, shard int, j *Job) (*metrics.RunR
 		row, err = r.runTrain(ctx, suite, j)
 	}
 	if err != nil {
-		// The failed run may have left the cached suite mid-state (a
-		// contained panic especially); drop it so the next attempt starts
-		// clean. Fault isolation at the cost of one cold cache.
-		delete(r.shards[shard], key)
 		return nil, err
 	}
+	completed = true
 	if r.server.underMemoryPressure() {
 		// Degrade before the monitor watermark starts shedding: dropping
 		// dormant models trades warm-cache latency for headroom.
 		suite.ReleaseModels()
-		r.shards[shard] = map[string]*core.Suite{}
+		r.caches[w] = map[string]*core.Suite{}
 		runtime.GC()
 		r.server.cCacheDrops.Inc()
 	}
 	return row, nil
 }
 
-// runTrain executes one training attempt on the shard's suite.
+// runTrain executes one training attempt on the worker's suite.
 func (r *suiteRunner) runTrain(ctx context.Context, suite *core.Suite, j *Job) (*metrics.RunResult, error) {
 	spec, err := j.Spec.RunSpec()
 	if err != nil {
@@ -262,21 +262,15 @@ func (r *suiteRunner) runTrain(ctx context.Context, suite *core.Suite, j *Job) (
 	// re-executes (a cache hit would return stale metrics and skip the
 	// job's fault plan entirely). Datasets and suite state stay warm.
 	suite.ReleaseModel(spec)
-	// Per-job wiring: the job's own tracer observes this run (streamed on
-	// /jobs/{id}/events), the job's fault plan arms the harness, and the
-	// in-process resilience budget comes from the spec.
+	// The job's fault plan arms the harness, and the in-process
+	// resilience budget comes from the spec.
 	maxRetries := 2
 	if j.Spec.MaxRetries != nil {
 		maxRetries = *j.Spec.MaxRetries
 	}
-	suite.Obs = j.tracer
 	suite.Resilience = resilience.Policy{MaxRetries: maxRetries}
 	suite.Faults, _ = resilience.ParsePlan(j.Spec.Faults) // validated at admission
-	suite.Progress = func(format string, args ...any) {
-		j.tracer.Emit("job.progress", map[string]any{"id": j.ID, "line": fmt.Sprintf(format, args...)})
-	}
 	row, err := suite.RunContext(ctx, spec)
-	suite.Obs, suite.Faults, suite.Progress = nil, nil, nil
 	if err != nil {
 		return nil, err
 	}
@@ -284,22 +278,17 @@ func (r *suiteRunner) runTrain(ctx context.Context, suite *core.Suite, j *Job) (
 }
 
 // runInfer executes one inference attempt: a single-column, single-batch
-// sweep on the shard's suite. Unlike training jobs, the memoized model is
-// NOT released first — cache warmth is the point of a serving measurement,
-// so repeated inference jobs against one shard pay training once and then
-// measure pure serving latency. The event stream terminates with an
-// "infer.summary" event carrying the latency distribution.
+// sweep on the worker's suite. Unlike training jobs, the memoized model
+// is NOT released first — cache warmth is the point of a serving
+// measurement, so repeated inference jobs on one worker pay training once
+// and then measure pure serving latency. The event stream terminates with
+// an "infer.summary" event carrying the latency distribution.
 func (r *suiteRunner) runInfer(ctx context.Context, suite *core.Suite, j *Job) (*metrics.RunResult, error) {
 	cfg, err := j.Spec.InferConfig()
 	if err != nil {
 		return nil, err
 	}
-	suite.Obs = j.tracer
-	suite.Progress = func(format string, args ...any) {
-		j.tracer.Emit("job.progress", map[string]any{"id": j.ID, "line": fmt.Sprintf(format, args...)})
-	}
 	rep, err := suite.InferSweep(ctx, cfg)
-	suite.Obs, suite.Progress = nil, nil
 	if err != nil {
 		return nil, err
 	}
@@ -307,10 +296,6 @@ func (r *suiteRunner) runInfer(ctx context.Context, suite *core.Suite, j *Job) (
 		return nil, fmt.Errorf("inference sweep returned %d cells, want 1", len(rep.Cells))
 	}
 	cell := rep.Cells[0]
-	dev := j.Spec.Device
-	if dev == "" {
-		dev = "gpu"
-	}
 	j.tracer.Emit("infer.summary", map[string]any{
 		"id": j.ID, "framework": cell.Framework, "network": cell.Network,
 		"dataset": cell.Dataset, "batch": cell.Batch, "requests": cell.Requests,
@@ -324,7 +309,7 @@ func (r *suiteRunner) runInfer(ctx context.Context, suite *core.Suite, j *Job) (
 		Framework:   cell.Framework,
 		Settings:    "infer " + cell.Network + " b" + fmt.Sprint(cell.Batch),
 		Dataset:     cell.Dataset,
-		Device:      dev,
+		Device:      cfg.Device.String(),
 		Test:        metrics.TimeRecord{WallSeconds: cell.WallSeconds},
 		AccuracyPct: cell.AccuracyPct,
 		Converged:   true,
