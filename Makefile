@@ -74,7 +74,7 @@ obs-overhead:
 # injector/checkpoint unit tests.
 chaos:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'Chaos|Fault|Inject|Panic|Resume|Cancel|Checkpoint|Guard|Diverge|Recover|Backoff|Plan' \
+		-run 'Chaos|Fault|Inject|Panic|Resume|Cancel|Checkpoint|Guard|Diverge|Recover|Plan' \
 		./internal/resilience/ ./internal/core/ ./internal/engine/ ./internal/tensor/
 
 # Native fuzzing, 10 s per target, of what the daemon and CLI read from

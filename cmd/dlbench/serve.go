@@ -30,7 +30,6 @@ func runServe(ctx context.Context, args []string, sink *progressSink) error {
 	shedCPU := fs.Float64("shed-cpu-pct", 0, "shed new work when process CPU%% exceeds this watermark (0 disables)")
 	jobTimeout := fs.Duration("job-timeout", 2*time.Minute, "default per-job execution deadline")
 	maxJobTimeout := fs.Duration("max-job-timeout", 10*time.Minute, "cap on client-requested job timeouts")
-	jobRetries := fs.Int("job-retries", 1, "job-level retry attempts for transient failures")
 	journalPath := fs.String("journal", "", "crash-safe job journal path (empty disables recovery)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget before the hard stop cancels in-flight jobs")
 	monitorInterval := fs.Duration("monitor-interval", monitor.DefaultInterval, "resource-monitor sampling interval")
@@ -58,7 +57,6 @@ func runServe(ctx context.Context, args []string, sink *progressSink) error {
 		ShedCPUPct:    *shedCPU,
 		JobTimeout:    *jobTimeout,
 		MaxJobTimeout: *maxJobTimeout,
-		JobRetries:    *jobRetries,
 		JournalPath:   *journalPath,
 		Tracer:        tracer,
 		Sampler:       sampler,

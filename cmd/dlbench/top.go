@@ -101,7 +101,7 @@ func renderTopFrame(out io.Writer, base string, st *status) {
 	}
 
 	if sv != nil {
-		fmt.Fprintf(out, "\n%-8s %-10s %-18s %8s  %s\n", "job", "state", "span", "attempts", "cell")
+		fmt.Fprintf(out, "\n%-8s %-10s %-18s %s\n", "job", "state", "span", "cell")
 		jobs := append([]server.ActiveJob(nil), sv.ActiveJobs...)
 		sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
 		if len(jobs) == 0 {
@@ -112,7 +112,7 @@ func renderTopFrame(out io.Writer, base string, st *status) {
 			if span == "" {
 				span = "-"
 			}
-			fmt.Fprintf(out, "%-8s %-10s %-18s %8d  %s\n", j.ID, j.State, span, j.Attempts, j.Cell)
+			fmt.Fprintf(out, "%-8s %-10s %-18s %s\n", j.ID, j.State, span, j.Cell)
 		}
 	}
 }

@@ -25,8 +25,8 @@ func cannedTopServer(t *testing.T) *httptest.Server {
 			"draining": false, "workers": 2, "inflight": 1,
 			"queue_depth": 3,
 			"active_jobs": [
-				{"id": "j-1", "state": "running", "span": "job.exec", "attempts": 1, "cell": "tf/mnist"},
-				{"id": "j-2", "state": "queued", "span": "job.queue_wait", "attempts": 0, "cell": "torch/mnist"}
+				{"id": "j-1", "state": "running", "span": "job.exec", "cell": "tf/mnist"},
+				{"id": "j-2", "state": "queued", "span": "job.queue_wait", "cell": "torch/mnist"}
 			],
 			"stages": {
 				"queue_wait": {"count": 7, "sum_ns": 100000000, "p50_ns": 2000000, "p95_ns": 40000000},

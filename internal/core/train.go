@@ -243,8 +243,9 @@ func (r *trainingRun) addWall(d time.Duration) { r.trainWall += d.Seconds() }
 
 // trainResilient drives the attempt loop around runIters: classify the
 // failure, roll back to the last checkpoint, decay the learning rate on
-// divergence, back off, and retry within the policy's budget. With the
-// zero policy and no faults or checkpoints configured, it is exactly one
+// divergence, and retry at once within the policy's budget (training is
+// deterministic, so waiting would only delay the replay). With the zero
+// policy and no faults or checkpoints configured, it is exactly one
 // runIters call with no checkpoint captures.
 func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 	guard := r.policy.Enabled()
@@ -334,9 +335,6 @@ func (s *Suite) trainResilient(ctx context.Context, r *trainingRun) error {
 		s.Obs.Emit("resilience.rollback", map[string]any{"cell": r.cell, "iter": r.mem.Iteration})
 		startIter = r.mem.Iteration
 		recovered = true
-		if err := resilience.Sleep(ctx, resilience.JitteredBackoff(r.attempt-1, resilience.BackoffBase, resilience.BackoffMax)); err != nil {
-			return err
-		}
 	}
 	if recovered {
 		s.Obs.Counter(resilience.CounterRecoveries).Inc()

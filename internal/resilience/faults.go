@@ -216,12 +216,25 @@ func (in *Injector) OpError(ctx context.Context, site string) error {
 		case KindSlow:
 			f.remaining--
 			in.fired++
-			if err := Sleep(ctx, f.Delay); err != nil {
+			if err := sleep(ctx, f.Delay); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// sleep waits for d, the delay of a slow fault, or until ctx is done,
+// returning ctx's error in the latter case.
+func sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // PoisonLoss returns the (possibly poisoned) loss and whether a nan/inf

@@ -29,30 +29,17 @@ func TestCheckpointPeriod(t *testing.T) {
 	}
 }
 
-func TestBackoffDoublesAndCaps(t *testing.T) {
-	base, max := 10*time.Millisecond, 50*time.Millisecond
-	want := []time.Duration{10, 20, 40, 50, 50}
-	for attempt, w := range want {
-		if got := Backoff(attempt, base, max); got != w*time.Millisecond {
-			t.Errorf("Backoff(%d) = %v, want %v", attempt, got, w*time.Millisecond)
-		}
-	}
-	if got := Backoff(3, 0, max); got != 0 {
-		t.Errorf("zero base must disable backoff, got %v", got)
-	}
-}
-
 func TestSleepHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if err := Sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Sleep on cancelled ctx = %v, want context.Canceled", err)
+	if err := sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sleep on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if time.Since(start) > time.Second {
-		t.Fatal("Sleep blocked despite cancellation")
+		t.Fatal("sleep blocked despite cancellation")
 	}
-	if err := Sleep(context.Background(), time.Millisecond); err != nil {
+	if err := sleep(context.Background(), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,10 +11,7 @@
 // so runs that do not opt in pay nothing.
 package resilience
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Sentinel errors. Concrete error values wrap these so callers classify
 // failures with errors.Is without depending on message text.
@@ -71,14 +68,9 @@ type Policy struct {
 // Enabled reports whether the policy activates the resilience layer.
 func (p Policy) Enabled() bool { return p.MaxRetries > 0 }
 
-// The recovery schedule of an enabled policy. Retry attempt n (0-based)
-// waits a jittered BackoffBase·2ⁿ capped at BackoffMax, and a divergence
-// retry multiplies the learning rate by LRDecay (other retries keep it).
-const (
-	BackoffBase = 10 * time.Millisecond
-	BackoffMax  = time.Second
-	LRDecay     = 0.5
-)
+// LRDecay is the factor by which a divergence retry multiplies the
+// learning rate; other retries keep it.
+const LRDecay = 0.5
 
 // CheckpointPeriod is the checkpoint period, in iterations, for a run of
 // totalIters: a quarter of the run, at least 1.

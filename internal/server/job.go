@@ -243,7 +243,6 @@ type Job struct {
 	mu        sync.Mutex
 	state     State
 	err       string
-	attempts  int
 	result    *metrics.RunResult
 	submitted time.Time
 	started   time.Time
@@ -253,7 +252,7 @@ type Job struct {
 
 	// queueSpan is the open job.queue_wait span between the queue push
 	// (handler or recovery goroutine) and the worker pop; queueNS and
-	// execNS sum the durations of the job's job.queue_wait and job.exec
+	// execNS are the durations of the job's job.queue_wait and job.exec
 	// spans, the server-attributed halves of its e2e latency.
 	queueSpan     obs.Span
 	queueSpanOpen bool
@@ -309,10 +308,10 @@ func (j *Job) endQueueWait() (time.Duration, bool) {
 	return d, true
 }
 
-// addExec accumulates one attempt's execution time.
-func (j *Job) addExec(d time.Duration) {
+// setExec records the job.exec span's duration.
+func (j *Job) setExec(d time.Duration) {
 	j.mu.Lock()
-	j.execNS += d.Nanoseconds()
+	j.execNS = d.Nanoseconds()
 	j.mu.Unlock()
 }
 
@@ -329,21 +328,11 @@ func (j *Job) State() State {
 // terminal reports whether s is an end state.
 func terminal(s State) bool { return s == StateCompleted || s == StateFailed }
 
-// attempt returns the job-level attempt count so far.
-func (j *Job) attempt() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
-}
-
-// start marks the job running (attempt counting included).
+// start marks the job running.
 func (j *Job) start() {
 	j.mu.Lock()
 	j.state = StateRunning
-	j.attempts++
-	if j.started.IsZero() {
-		j.started = time.Now()
-	}
+	j.started = time.Now()
 	j.mu.Unlock()
 }
 
@@ -362,7 +351,8 @@ func (j *Job) finish(res *metrics.RunResult, err error) {
 	close(j.done)
 }
 
-// requeue returns a running job to the queued state (job-level retry).
+// requeue returns a running job to the queued state: a hard stop
+// interrupted it, and the journal recovers it on the next start.
 func (j *Job) requeue() {
 	j.mu.Lock()
 	j.state = StateQueued
@@ -375,23 +365,18 @@ type JobView struct {
 	State  State   `json:"state"`
 	Spec   JobSpec `json:"spec"`
 	Client string  `json:"client,omitempty"`
-	// Attempts counts job-level executions (1 + server-side retries);
-	// in-process resilience retries inside the training loop are not
-	// job-level attempts.
-	Attempts int `json:"attempts"`
 	// Recovered marks a job resurrected from the journal by a restart.
 	Recovered bool   `json:"recovered,omitempty"`
 	Error     string `json:"error,omitempty"`
 	// QueueSeconds and RunSeconds split the job's latency into time
-	// spent waiting for a worker and time spent since it first started
-	// (RunSeconds includes retry backoff between attempts).
+	// spent waiting for a worker and time from its start to its end (or
+	// to now, while it runs).
 	QueueSeconds float64 `json:"queue_seconds"`
 	RunSeconds   float64 `json:"run_seconds"`
-	// ExecSeconds is the summed duration of the job's job.exec spans —
-	// RunSeconds minus retry backoff — and E2ESeconds the total
-	// submission-to-terminal latency. Both are 0 until the stage (or the
-	// job) completes, so a finished job's record carries its full
-	// server-attributed latency breakdown.
+	// ExecSeconds is the duration of the job's job.exec span and
+	// E2ESeconds the total submission-to-terminal latency. Both are 0
+	// until the stage (or the job) completes, so a finished job's record
+	// carries its full server-attributed latency breakdown.
 	ExecSeconds float64 `json:"exec_seconds,omitempty"`
 	E2ESeconds  float64 `json:"e2e_seconds,omitempty"`
 	// Result is the completed run's row (accuracy, wall/model times,
@@ -408,7 +393,6 @@ func (j *Job) View() JobView {
 		State:       j.state,
 		Spec:        j.Spec,
 		Client:      j.Client,
-		Attempts:    j.attempts,
 		Recovered:   j.recovered,
 		Error:       j.err,
 		Result:      j.result,

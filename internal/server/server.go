@@ -11,10 +11,13 @@
 //     from starving the rest; and a monitor-driven watermark sheds new
 //     work with 503 when heap or CPU pressure says the daemon should
 //     degrade rather than OOM.
-//   - Fault isolation: each job runs on a worker pool with a per-job
-//     deadline, panic containment and jittered-backoff retries (reusing
-//     internal/resilience), so a diverging, crashing or panicking job
-//     fails alone while the daemon keeps serving.
+//   - Fault isolation: each job runs on a worker pool under a per-job
+//     deadline and panic containment, so a diverging, crashing or
+//     panicking job fails alone while the daemon keeps serving. A failed
+//     job is not run again: results are deterministic in the spec, so a
+//     second run would replay the failure. A job's only retries are its
+//     training loop's checkpoint rollbacks (internal/resilience, the
+//     spec's max_retries).
 //   - Crash safety: accepted jobs are journaled (fsync before the 202);
 //     a daemon killed hard replays the journal on restart and re-runs
 //     everything that was accepted but never finished. SIGTERM drains:
@@ -47,6 +50,9 @@ import (
 )
 
 // Server instrument names (exported on /metrics as dlbench_server_*).
+// CounterRetries sums the training loop's checkpoint-rollback retries
+// (resilience.retries) over the jobs that ended; the daemon does not run
+// a failed job again.
 const (
 	GaugeQueueDepth    = "server.queue_depth"
 	GaugeInflight      = "server.inflight_jobs"
@@ -71,16 +77,15 @@ const (
 )
 
 // Lifecycle span names recorded on each job's tracer: admission
-// (with the journal fsync as a child), queue residency, per-attempt
-// execution, retry backoff, and terminal reporting. Sequential and
-// non-overlapping, so /jobs/{id}/trace shows one root-level timeline
-// tiling the job's e2e latency and /jobs/{id}/profile attributes it.
+// (with the journal fsync as a child), queue residency, execution, and
+// terminal reporting. Sequential and non-overlapping, so
+// /jobs/{id}/trace shows one root-level timeline tiling the job's e2e
+// latency and /jobs/{id}/profile attributes it.
 const (
 	SpanAdmission   = "job.admission"
 	SpanJournalSync = "job.journal_fsync"
 	SpanQueueWait   = "job.queue_wait"
 	SpanExec        = "job.exec"
-	SpanBackoff     = "job.backoff"
 	SpanReport      = "job.report"
 )
 
@@ -105,11 +110,6 @@ type Config struct {
 	// caps client-requested timeouts. Defaults: 2m and 10m.
 	JobTimeout    time.Duration
 	MaxJobTimeout time.Duration
-	// JobRetries is the number of job-level retry attempts for transient
-	// failures (beyond the training loop's own in-process resilience
-	// retries); default 1. Attempts are separated by a jittered backoff
-	// between retryBase and retryMax.
-	JobRetries int
 	// JournalPath enables the crash-safe job journal; empty disables it
 	// (accepted jobs then die with the process).
 	JournalPath string
@@ -129,13 +129,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// The jittered backoff between job-level attempts grows from retryBase
-// and is capped at retryMax.
-const (
-	retryBase = 100 * time.Millisecond
-	retryMax  = 5 * time.Second
-)
-
 // withDefaults fills unset knobs.
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -152,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobTimeout <= 0 {
 		c.MaxJobTimeout = 10 * time.Minute
-	}
-	if c.JobRetries < 0 {
-		c.JobRetries = 0
 	}
 	if c.MaxJobsRetained <= 0 {
 		c.MaxJobsRetained = 16384
@@ -363,8 +353,8 @@ type StatusView struct {
 	// ActiveJobs lists every non-terminal job with its current lifecycle
 	// span — what each worker (and the queue) is doing right now.
 	ActiveJobs []ActiveJob `json:"active_jobs,omitempty"`
-	// Stages summarizes queue wait, execution (one observation per
-	// attempt) and e2e latency over all jobs so far, keyed queue_wait,
+	// Stages summarizes queue wait, execution and e2e latency over all
+	// jobs so far (one observation per job and stage), keyed queue_wait,
 	// exec and e2e. They are the histograms /metrics exports as the
 	// dlbench_server_*_seconds summaries, so the quantiles are bucketed
 	// estimates.
@@ -377,9 +367,8 @@ type ActiveJob struct {
 	State State  `json:"state"`
 	// Span is the innermost open span on the job's tracer
 	// ("job.queue_wait" for queued jobs; "graph.forward" etc. mid-run).
-	Span     string `json:"span,omitempty"`
-	Attempts int    `json:"attempts"`
-	Cell     string `json:"cell"`
+	Span string `json:"span,omitempty"`
+	Cell string `json:"cell"`
 }
 
 // Status snapshots the daemon for live introspection.
@@ -401,20 +390,19 @@ func (s *Server) Status() StatusView {
 			continue
 		}
 		sv.ActiveJobs = append(sv.ActiveJobs, ActiveJob{
-			ID:       j.ID,
-			State:    st,
-			Span:     j.tracer.CurrentSpan(),
-			Attempts: j.attempt(),
-			Cell:     j.Spec.Framework + "/" + j.Spec.Dataset,
+			ID:    j.ID,
+			State: st,
+			Span:  j.tracer.CurrentSpan(),
+			Cell:  j.Spec.Framework + "/" + j.Spec.Dataset,
 		})
 	}
 	return sv
 }
 
 // retryAfterSeconds estimates when a rejected submission is worth
-// retrying: the current backlog divided across workers, in mean
-// job-attempt durations (one second before any attempt ran), floored at
-// one second.
+// retrying: the current backlog divided across workers, in mean job
+// execution times (one second before any job ran), floored at one
+// second.
 func (s *Server) retryAfterSeconds() int {
 	mean := time.Duration(s.hExec.Stats().MeanNS())
 	if mean <= 0 {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -39,6 +41,23 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Run == nil {
 		cfg.Run = okRun
 	}
+	return startServer(t, cfg)
+}
+
+// newSuiteServer builds a one-worker server on the production suite
+// runner, for tests that train real cells.
+func newSuiteServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("trains a real cell; skipped under -short")
+	}
+	return startServer(t, Config{Workers: 1}) // nil Run selects the suite runner
+}
+
+// startServer builds the server cfg describes plus an HTTP front end,
+// both torn down when the test ends.
+func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -104,9 +123,6 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	v := j.View()
 	if v.Result == nil || v.Result.AccuracyPct != 90 {
 		t.Fatalf("completed job carries no result: %+v", v)
-	}
-	if v.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1", v.Attempts)
 	}
 	// The job is visible in the listing and via GET /jobs/{id}.
 	resp, err := http.Get(ts.URL + "/jobs/" + reply.ID)
@@ -217,10 +233,13 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 }
 
 // TestSameKeyJobsRunConcurrently: jobs that share one (scale, seed) are
-// not pinned to one worker, so two of them run at once on two workers.
+// not pinned to one worker, so two of them run at once on two workers,
+// and the job.start event of the second says that two jobs were running.
 func TestSameKeyJobsRunConcurrently(t *testing.T) {
 	release := make(chan struct{})
+	running := make(chan struct{}, 2)
 	blockRun := func(ctx context.Context, _ int, _ *Job) (*metrics.RunResult, error) {
+		running <- struct{}{}
 		select {
 		case <-release:
 			return &metrics.RunResult{}, nil
@@ -238,12 +257,44 @@ func TestSameKeyJobsRunConcurrently(t *testing.T) {
 		}
 		ids = append(ids, reply.ID)
 	}
-	for _, id := range ids {
-		waitState(t, s, id, StateRunning)
-	}
+	<-running
+	<-running
 	if sv := s.Status(); sv.Inflight != 2 || sv.QueueDepth != 0 {
 		t.Fatalf("status inflight/queue depth = %d/%d, want 2/0", sv.Inflight, sv.QueueDepth)
 	}
+	var inflight []string
+	for _, id := range ids {
+		j, _ := s.Job(id)
+		for _, ev := range eventsOf(j, "job.start") {
+			inflight = append(inflight, fmt.Sprint(ev.Fields["inflight"]))
+		}
+	}
+	slices.Sort(inflight)
+	if !slices.Equal(inflight, []string{"1", "2"}) {
+		t.Fatalf("job.start inflight readings = %v, want [1 2]", inflight)
+	}
+}
+
+// eventsOf returns the job's events of one type.
+func eventsOf(j *Job, typ string) []obs.Event {
+	var out []obs.Event
+	for _, ev := range j.tracer.Events() {
+		if ev.Type == typ {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// spanCount returns how many spans of one name the job recorded.
+func spanCount(j *Job, name string) int {
+	n := 0
+	for _, sp := range j.tracer.Spans() {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRateLimitPerClient(t *testing.T) {
@@ -278,15 +329,16 @@ func TestCrashFaultFailsOnlyThatJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Run: crashRun})
 	_, crash := submit(t, ts, `{"framework":"tf","dataset":"mnist","faults":"crash@1"}`, "")
 	j := waitState(t, s, crash.ID, StateFailed)
-	if v := j.View(); !strings.Contains(v.Error, "injected crash") || v.Attempts != 1 {
-		t.Fatalf("crash job: %+v (crash must not be retried)", v)
+	if v := j.View(); !strings.Contains(v.Error, "injected crash") {
+		t.Fatalf("crash job: %+v, want an injected crash error", v)
 	}
 	_, healthy := submit(t, ts, `{"framework":"caffe","dataset":"cifar10"}`, "")
 	waitState(t, s, healthy.ID, StateCompleted)
 }
 
 // TestPanicContainment: a panicking runner fails its own job with an
-// ErrPanic-wrapped error after the retry budget, and the worker survives.
+// ErrPanic-wrapped error, the job is not run again, and the worker
+// survives.
 func TestPanicContainment(t *testing.T) {
 	var calls atomic.Int64
 	panicRun := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
@@ -296,19 +348,17 @@ func TestPanicContainment(t *testing.T) {
 		}
 		return okRun(ctx, worker, j)
 	}
-	s, ts := newTestServer(t, Config{Workers: 1, JobRetries: 1, Run: panicRun})
+	s, ts := newTestServer(t, Config{Workers: 1, Run: panicRun})
 	_, bad := submit(t, ts, `{"framework":"torch","dataset":"mnist"}`, "")
 	j := waitState(t, s, bad.ID, StateFailed)
 	if v := j.View(); !strings.Contains(v.Error, "recovered panic") {
 		t.Fatalf("panic job error = %q, want recovered panic", v.Error)
 	}
-	// Panics are transient-classified: the budget of 1+JobRetries=2
-	// attempts was spent before failing.
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("panic runner called %d times, want 2 (retry budget)", got)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("panic runner called %d times, want 1", got)
 	}
-	if got := s.cPanics.Value(); got != 2 {
-		t.Fatalf("panics counter = %d, want 2", got)
+	if got := s.cPanics.Value(); got != 1 {
+		t.Fatalf("panics counter = %d, want 1", got)
 	}
 	_, ok := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
 	waitState(t, s, ok.ID, StateCompleted)
@@ -343,39 +393,61 @@ func TestPanicEvictsSuiteAndResetsSettings(t *testing.T) {
 	}
 }
 
-// TestTransientFailureRetriesWithBackoff: one injected-fault failure, then
-// success — the job completes on attempt 2.
-func TestTransientFailureRetriesWithBackoff(t *testing.T) {
-	var calls atomic.Int64
-	flaky := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
-		if calls.Add(1) == 1 {
-			return nil, fmt.Errorf("%w: op error", resilience.ErrInjected)
-		}
-		return okRun(ctx, worker, j)
+// TestTransientFaultRetriedInsideJob: an injected op fault in a served
+// training job is retried by the training loop's checkpoint rollback
+// (the default max_retries) inside the job's one execution, and the
+// daemon's retry counter adds that retry.
+func TestTransientFaultRetriedInsideJob(t *testing.T) {
+	s, ts := newSuiteServer(t)
+	code, reply := submit(t, ts, `{"framework":"caffe","dataset":"mnist","scale":"test","faults":"operr@2"}`, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%+v)", code, reply)
 	}
-	s, ts := newTestServer(t, Config{JobRetries: 2, Run: flaky})
-	_, reply := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
 	j := waitState(t, s, reply.ID, StateCompleted)
-	if v := j.View(); v.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", v.Attempts)
+	if n := spanCount(j, SpanExec); n != 1 {
+		t.Fatalf("%d %s spans, want 1", n, SpanExec)
+	}
+	if got := j.tracer.Counter(resilience.CounterRetries).Value(); got != 1 {
+		t.Fatalf("job's %s = %d, want 1", resilience.CounterRetries, got)
 	}
 	if got := s.cRetries.Value(); got != 1 {
-		t.Fatalf("retries counter = %d, want 1", got)
+		t.Fatalf("daemon's %s = %d, want 1", CounterRetries, got)
+	}
+}
+
+// TestFailedJobRunsOnce: a served training job whose injected fault the
+// spec leaves unretried (max_retries 0) fails with that fault after one
+// start and one execution; the daemon does not run it again.
+func TestFailedJobRunsOnce(t *testing.T) {
+	s, ts := newSuiteServer(t)
+	code, reply := submit(t, ts, `{"framework":"caffe","dataset":"mnist","scale":"test","faults":"operr@1","max_retries":0}`, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%+v)", code, reply)
+	}
+	j := waitState(t, s, reply.ID, StateFailed)
+	if v := j.View(); !strings.Contains(v.Error, "injected fault") {
+		t.Fatalf("job error = %q, want the injected fault", v.Error)
+	}
+	if n := len(eventsOf(j, "job.start")); n != 1 {
+		t.Fatalf("%d job.start events, want 1", n)
+	}
+	if n := spanCount(j, SpanExec); n != 1 {
+		t.Fatalf("%d %s spans, want 1", n, SpanExec)
 	}
 }
 
 // TestDeadlineFailsJob: a runner that outlives the per-job timeout fails
-// with DeadlineExceeded and is not retried.
+// with DeadlineExceeded.
 func TestDeadlineFailsJob(t *testing.T) {
 	slow := func(ctx context.Context, _ int, _ *Job) (*metrics.RunResult, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	s, ts := newTestServer(t, Config{JobTimeout: 30 * time.Millisecond, JobRetries: 3, Run: slow})
+	s, ts := newTestServer(t, Config{JobTimeout: 30 * time.Millisecond, Run: slow})
 	_, reply := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
 	j := waitState(t, s, reply.ID, StateFailed)
-	if v := j.View(); v.Attempts != 1 || !strings.Contains(v.Error, "deadline") {
-		t.Fatalf("deadline job: %+v, want 1 attempt and a deadline error", v)
+	if v := j.View(); !strings.Contains(v.Error, "deadline") {
+		t.Fatalf("deadline job: %+v, want a deadline error", v)
 	}
 }
 

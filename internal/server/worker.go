@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -13,10 +12,10 @@ import (
 	"repro/internal/resilience"
 )
 
-// RunFunc executes one job attempt on the given worker and returns its
-// result. The production implementation trains the job's cell over the
-// existing executors; tests substitute stubs to exercise the robustness
-// machinery without training.
+// RunFunc executes one job on the given worker and returns its result.
+// The production implementation trains the job's cell over the existing
+// executors; tests substitute stubs to exercise the robustness machinery
+// without training.
 type RunFunc func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error)
 
 // worker is one service loop: it takes the oldest queued job, runs it,
@@ -34,13 +33,15 @@ func (s *Server) worker(w int) {
 	}
 }
 
-// runJob drives one job through its attempt loop: per-attempt deadline,
-// panic containment, jittered-backoff retries for failures the platform
-// understands as transient, and journaled terminal transitions. A job
-// interrupted by the hard-stop deadline is left non-terminal so the
-// journal recovers it on the next start.
+// runJob runs one job once, under its deadline and panic containment,
+// and journals it as completed or failed. The job is not run again on
+// failure: results are deterministic in the spec, so a second run would
+// replay the same error, and the training loop's checkpoint rollback
+// (the spec's max_retries) is the one retry layer. A job interrupted by
+// the hard-stop deadline is left non-terminal so the journal recovers it
+// on the next start.
 func (s *Server) runJob(w int, j *Job) {
-	s.inflight.Add(1)
+	inflight := s.inflight.Add(1)
 	s.setOccupancy()
 	defer func() {
 		s.inflight.Add(-1)
@@ -67,56 +68,45 @@ func (s *Server) runJob(w int, j *Job) {
 		timeout = s.cfg.MaxJobTimeout
 	}
 
-	for {
-		j.start()
-		j.tracer.Emit("job.start", map[string]any{
-			"id": j.ID, "attempt": j.attempt(), "worker": w, "cell": j.Spec.Framework + "/" + j.Spec.Dataset,
-		})
-		exec := j.tracer.Span(SpanExec, "server")
-		ctx, cancel := context.WithTimeout(s.hardCtx, timeout)
-		res, err := s.runAttempt(ctx, w, j)
-		cancel()
-		attemptDur := exec.End()
-		j.addExec(attemptDur)
-		s.hExec.Observe(attemptDur)
-		if err == nil {
-			s.reportJob(j, res, nil, StateCompleted)
-			s.cCompleted.Inc()
-			return
-		}
+	j.start()
+	// inflight counts the jobs executing as this one starts, itself
+	// included: concurrent jobs share the CPUs, so it qualifies the
+	// job's measured times.
+	j.tracer.Emit("job.start", map[string]any{
+		"id": j.ID, "inflight": inflight, "worker": w, "cell": j.Spec.Framework + "/" + j.Spec.Dataset,
+	})
+	exec := j.tracer.Span(SpanExec, "server")
+	ctx, cancel := context.WithTimeout(s.hardCtx, timeout)
+	res, err := s.runContained(ctx, w, j)
+	cancel()
+	d := exec.End()
+	j.setExec(d)
+	s.hExec.Observe(d)
+	switch {
+	case err == nil:
+		s.reportJob(j, res, nil, StateCompleted)
+		s.cCompleted.Inc()
+	case s.hardCtx.Err() != nil:
 		// Hard stop during drain: the process is going away. Leave the job
 		// non-terminal (its journal submit has no matching state record),
 		// so restart recovery re-runs it — accepted work is never lost.
-		if s.hardCtx.Err() != nil {
-			s.logf("job %s interrupted by hard stop; left journaled for recovery", j.ID)
-			j.requeue()
-			return
-		}
-		if s.retryable(err) && j.attempt() < 1+s.cfg.JobRetries {
-			s.cRetries.Inc()
-			delay := resilience.JitteredBackoff(j.attempt()-1, retryBase, retryMax)
-			j.tracer.Emit("job.retry", map[string]any{"id": j.ID, "attempt": j.attempt(), "delay_ms": delay.Milliseconds(), "error": err.Error()})
-			j.requeue()
-			backoff := j.tracer.Span(SpanBackoff, "server")
-			serr := resilience.Sleep(s.hardCtx, delay)
-			backoff.End()
-			if serr != nil {
-				return
-			}
-			continue
-		}
+		s.logf("job %s interrupted by hard stop; left journaled for recovery", j.ID)
+		j.requeue()
+	default:
 		s.reportJob(j, nil, err, StateFailed)
 		s.cFailed.Inc()
-		return
 	}
 }
 
 // reportJob is the terminal stage: the job.done event, the in-memory
 // finish, the journaled state transition, and the e2e latency
 // observation — bracketed by the job.report span so the trace's root
-// timeline extends to (essentially) the job's terminal timestamp.
+// timeline extends to (essentially) the job's terminal timestamp. The
+// daemon's retry counter adds the rollback retries the job's training
+// loop made.
 func (s *Server) reportJob(j *Job, res *metrics.RunResult, err error, st State) {
 	report := j.tracer.Span(SpanReport, "server")
+	s.cRetries.Add(j.tracer.Counter(resilience.CounterRetries).Value())
 	fields := map[string]any{"id": j.ID, "state": string(st)}
 	if err != nil {
 		fields["error"] = err.Error()
@@ -137,11 +127,11 @@ func (s *Server) setOccupancy() {
 	s.gOccupancy.Set(n / float64(s.cfg.Workers))
 }
 
-// runAttempt executes one attempt under panic containment: a panic
-// anywhere in the run path (suite construction, data synthesis, executor
-// dispatch beyond the engine's own recovery) fails this job alone and the
-// worker keeps serving.
-func (s *Server) runAttempt(ctx context.Context, w int, j *Job) (res *metrics.RunResult, err error) {
+// runContained runs the job under panic containment: a panic anywhere
+// in the run path (suite construction, data synthesis, executor dispatch
+// beyond the engine's own recovery) fails this job alone and the worker
+// keeps serving.
+func (s *Server) runContained(ctx context.Context, w int, j *Job) (res *metrics.RunResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 4096)
@@ -152,24 +142,6 @@ func (s *Server) runAttempt(ctx context.Context, w int, j *Job) (res *metrics.Ru
 		}
 	}()
 	return s.run(ctx, w, j)
-}
-
-// retryable classifies failures worth a fresh attempt on a clean suite:
-// transient injected faults, divergence, contained panics, and exhausted
-// in-process retry budgets (a new attempt restarts that budget). Crashes
-// (simulated process kills), cancellation/deadline and configuration
-// errors are job-fatal.
-func (s *Server) retryable(err error) bool {
-	if errors.Is(err, resilience.ErrInjectedCrash) {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return errors.Is(err, resilience.ErrInjected) ||
-		errors.Is(err, resilience.ErrDiverged) ||
-		errors.Is(err, resilience.ErrRetriesExhausted) ||
-		errors.Is(err, engine.ErrPanic)
 }
 
 // suiteRunner is the production RunFunc. Each worker keeps its own suite
@@ -194,8 +166,8 @@ func newSuiteRunner(s *Server, workers int) *suiteRunner {
 	return r
 }
 
-// run executes one attempt on worker w's suite for the job's (scale,
-// seed). Only worker w touches r.caches[w], so the cache needs no lock.
+// run executes the job on worker w's suite for its (scale, seed). Only
+// worker w touches r.caches[w], so the cache needs no lock.
 func (r *suiteRunner) run(ctx context.Context, w int, j *Job) (*metrics.RunResult, error) {
 	key := j.Spec.suiteKey()
 	suite := r.caches[w][key]
@@ -225,8 +197,9 @@ func (r *suiteRunner) run(ctx context.Context, w int, j *Job) (*metrics.RunResul
 		suite.Obs, suite.Progress, suite.Faults, suite.Resilience = nil, nil, nil, resilience.Policy{}
 		if !completed {
 			// The failed run may have left the suite mid-state (a
-			// contained panic especially); drop it so the next attempt
-			// starts clean. Fault isolation at the cost of one cold cache.
+			// contained panic especially); drop it so the worker's next
+			// job starts clean. Fault isolation at the cost of one cold
+			// cache.
 			delete(r.caches[w], key)
 		}
 	}()
@@ -252,7 +225,7 @@ func (r *suiteRunner) run(ctx context.Context, w int, j *Job) (*metrics.RunResul
 	return row, nil
 }
 
-// runTrain executes one training attempt on the worker's suite.
+// runTrain executes one training job on the worker's suite.
 func (r *suiteRunner) runTrain(ctx context.Context, suite *core.Suite, j *Job) (*metrics.RunResult, error) {
 	spec, err := j.Spec.RunSpec()
 	if err != nil {
@@ -277,7 +250,7 @@ func (r *suiteRunner) runTrain(ctx context.Context, suite *core.Suite, j *Job) (
 	return &row, nil
 }
 
-// runInfer executes one inference attempt: a single-column, single-batch
+// runInfer executes one inference job: a single-column, single-batch
 // sweep on the worker's suite. Unlike training jobs, the memoized model
 // is NOT released first — cache warmth is the point of a serving
 // measurement, so repeated inference jobs on one worker pay training once

@@ -5,8 +5,9 @@
 #   2. parse the printed address line to learn the binding,
 #   3. drive a small loadgen burst through it and require the accounting
 #      invariant (every submission completed/failed/explicitly rejected),
-#   4. run one inference job, render one `dlbench top` frame, and check
-#      the per-job trace/profile and the /metrics stage summaries,
+#   4. run one inference job and one failing training job (it must run
+#      once), render one `dlbench top` frame, and check the per-job
+#      trace/profile and the /metrics stage summaries,
 #   5. SIGTERM the daemon and require a clean drain within the budget.
 #
 # Exits non-zero on any violated step; `make serve-smoke` runs it and
@@ -66,10 +67,10 @@ echo "serve-smoke: inference job"
 http_post() {
 	if command -v curl >/dev/null 2>&1; then
 		curl -sS -X POST -H 'Content-Type: application/json' \
-			-H 'X-DLBench-Client: smoke-infer' -d "$2" "$1"
+			-H 'X-DLBench-Client: smoke' -d "$2" "$1"
 	else
 		wget -qO- --header='Content-Type: application/json' \
-			--header='X-DLBench-Client: smoke-infer' --post-data="$2" "$1"
+			--header='X-DLBench-Client: smoke' --post-data="$2" "$1"
 	fi
 }
 http_get() {
@@ -104,6 +105,33 @@ if ! tail -n 1 "$events" | grep '"type":"job.done"' | grep -q '"state":"complete
 	exit 1
 fi
 echo "serve-smoke: inference summary OK ($jid)"
+
+# A failing training job runs once. Its spec turns the training loop's
+# rollback retries off (max_retries 0), and the daemon has no retry of
+# its own, so the event stream holds one job.start and ends with a
+# failed job.done.
+echo "serve-smoke: failing job"
+reply="$(http_post "http://$addr/jobs" \
+	'{"framework":"caffe","dataset":"mnist","scale":"test","faults":"operr@1","max_retries":0}')"
+fid="$(printf '%s' "$reply" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+if [ -z "$fid" ]; then
+	echo "serve-smoke: FAIL: failing job not accepted: $reply" >&2
+	exit 1
+fi
+fevents="$bin/fail_events.jsonl"
+http_get "http://$addr/jobs/$fid/events" >"$fevents" || true
+starts="$(grep -c '"type":"job.start"' "$fevents" || true)"
+if [ "$starts" -ne 1 ]; then
+	echo "serve-smoke: FAIL: failing job started $starts times, want 1" >&2
+	cat "$fevents" >&2
+	exit 1
+fi
+if ! tail -n 1 "$fevents" | grep '"type":"job.done"' | grep -q '"state":"failed"'; then
+	echo "serve-smoke: FAIL: failing job's event stream did not end with its failure" >&2
+	tail -n 3 "$fevents" >&2
+	exit 1
+fi
+echo "serve-smoke: failing job ran once ($fid)"
 
 # The live dashboard against the real daemon: `dlbench top` reads only
 # /status, so one frame must show the exec stage with the jobs run so far.
